@@ -1,9 +1,9 @@
 """The acceptance suite: eight exact desk-scale checks.
 
-Each criterion function returns a report dict with a `passed` flag and
-enough detail to diagnose a failure; nothing is cached between criteria
-beyond the library's own memoization. `run_all` drives them in order and
-is the engine behind both the CLI verification command and the test suite.
+Each criterion function takes a fixture loader and returns a report dict
+with a `passed` flag and enough detail to diagnose a failure. `run_all`,
+the engine behind both the CLI verification command and the test suite,
+loads each fixture once per call, so the criteria share per-graph results.
 
 Fixture policy: the enumeration-heavy criteria (2, 3, 5) run on the
 fixtures with ambient dimension at most 12 — the scale the suite's runtime
@@ -36,14 +36,10 @@ NON_NORMAL_FIXTURES = ("t1min", "t2min")
 LADDER = (6, 8, 10, 12)
 
 
-def _load(name: str, fixtures_dir=None):
-    return fixtures.load(name, directory=fixtures_dir)
-
-
-def criterion_figure1(fixtures_dir=None) -> dict:
+def criterion_figure1(load) -> dict:
     """Bowtie facet inventory: regular vertices and the unique
     single-vertex fundamental set."""
-    G = _load("bowtie", fixtures_dir)
+    G = load("bowtie")
     regs = set(regular_vertices(G))
     singles = [F.vertices for F in fundamental_sets(G) if len(F.vertices) == 1]
     ok_regular = regs == {"v2", "v3", "v4", "v5"}
@@ -60,13 +56,13 @@ def criterion_figure1(fixtures_dir=None) -> dict:
     }
 
 
-def criterion_normality(fixtures_dir=None) -> dict:
+def criterion_normality(load) -> dict:
     """Normality dichotomy plus the empty-holes cross-check at degree 12
     in both directions."""
     details = {}
     passed = True
     for name in NORMAL_FIXTURES + NON_NORMAL_FIXTURES:
-        G = _load(name, fixtures_dir)
+        G = load(name)
         expected = name in NORMAL_FIXTURES
         normal = is_normal(G)
         hole_count = len(holes(G, 12))
@@ -86,7 +82,7 @@ def criterion_normality(fixtures_dir=None) -> dict:
     }
 
 
-def criterion_main_theorem(fixtures_dir=None) -> dict:
+def criterion_main_theorem(load) -> dict:
     """Hole decomposition verified on the degree ladder, all families of
     dimension d-1, and the non-normal/(S2) verdict, on both minimal
     diameter-4 fixtures."""
@@ -94,7 +90,7 @@ def criterion_main_theorem(fixtures_dir=None) -> dict:
     passed = True
     expected = {"t1min": ("Type1", 9), "t2min": ("Type2", 11)}
     for name in NON_NORMAL_FIXTURES:
-        G = _load(name, fixtures_dir)
+        G = load(name)
         tag, d = expected[name]
         entry = {
             "type": classify(G).tag,
@@ -136,7 +132,7 @@ def criterion_main_theorem(fixtures_dir=None) -> dict:
     }
 
 
-def criterion_lemmas(fixtures_dir=None) -> dict:
+def criterion_lemmas(load) -> dict:
     """Closed forms of the three membership lemmas against the brute-force
     oracle, exhaustively over admissible inputs."""
     details = {}
@@ -147,7 +143,7 @@ def criterion_lemmas(fixtures_dir=None) -> dict:
         ("double_w_edge", double_w_edge_cases),
     )
     for name in LEMMA_FIXTURES:
-        G = _load(name, fixtures_dir)
+        G = load(name)
         entry = {}
         for label, gen in generators:
             cases = list(gen(G))
@@ -169,13 +165,13 @@ def criterion_lemmas(fixtures_dir=None) -> dict:
     }
 
 
-def criterion_cross_check(fixtures_dir=None) -> dict:
+def criterion_cross_check(load) -> dict:
     """Inequality-filter enumeration equals closure enumeration up to
     degree 12 on every dimension-at-most-12 fixture."""
     details = {}
     passed = True
     for name in SMALL_FIXTURES:
-        G = _load(name, fixtures_dir)
+        G = load(name)
         try:
             count = len(enumerate_normalization(G, 12))
             details[name] = {"points": count, "agree": True}
@@ -195,12 +191,12 @@ def criterion_cross_check(fixtures_dir=None) -> dict:
     }
 
 
-def criterion_doubling(fixtures_dir=None) -> dict:
+def criterion_doubling(load) -> dict:
     """Every exceptional pair vector is a hole whose double is not."""
     details = {}
     passed = True
     for name in fixtures.names():
-        G = _load(name, fixtures_dir)
+        G = load(name)
         rows = []
         for P in exceptional_pairs(G):
             q = pair_vector(G, P)
@@ -225,13 +221,13 @@ def criterion_doubling(fixtures_dir=None) -> dict:
     }
 
 
-def criterion_facet_rank(fixtures_dir=None) -> dict:
+def criterion_facet_rank(load) -> dict:
     """Every supporting hyperplane of every fixture meets the cone in a
     face of dimension exactly d-1."""
     details = {}
     passed = True
     for name in fixtures.names():
-        G = _load(name, fixtures_dir)
+        G = load(name)
         dims = [face_of(G, H).dimension for H in supporting_hyperplanes(G)]
         ok = all(x == G.dimension - 1 for x in dims)
         details[name] = {
@@ -249,11 +245,11 @@ def criterion_facet_rank(fixtures_dir=None) -> dict:
     }
 
 
-def criterion_taxonomy(fixtures_dir=None) -> dict:
+def criterion_taxonomy(load) -> dict:
     """Type classification of the two minimal fixtures, including the
     adjacent-degree-2-spoke law that separates the types."""
-    t1 = _load("t1min", fixtures_dir)
-    t2 = _load("t2min", fixtures_dir)
+    t1 = load("t1min")
+    t2 = load("t2min")
     c1, c2 = classify(t1), classify(t2)
     checks = {
         "t1min_type1": c1.tag == "Type1",
@@ -295,10 +291,13 @@ CRITERIA = (
     criterion_taxonomy,
 )
 
+
+def _name(fn) -> str:
+    return fn.__name__.replace("criterion_", "").replace("_", "-")
+
+
 def criterion_names() -> tuple:
-    return tuple(
-        fn.__name__.replace("criterion_", "").replace("_", "-") for fn in CRITERIA
-    )
+    return tuple(_name(fn) for fn in CRITERIA)
 
 
 def run_all(only=None, fixtures_dir=None) -> list:
@@ -314,13 +313,20 @@ def run_all(only=None, fixtures_dir=None) -> list:
                 f"unknown criteria: {sorted(unknown)}; "
                 f"available: {', '.join(criterion_names())}"
             )
+    graphs = {}
+
+    def load(name):
+        if name not in graphs:
+            graphs[name] = fixtures.load(name, directory=fixtures_dir)
+        return graphs[name]
+
     reports = []
     for fn in CRITERIA:
-        name = fn.__name__.replace("criterion_", "").replace("_", "-")
+        name = _name(fn)
         if wanted is not None and name not in wanted:
             continue
         try:
-            reports.append(fn(fixtures_dir))
+            reports.append(fn(load))
         except (EdgeRingError, OSError, ValueError) as exc:
             reports.append(
                 {

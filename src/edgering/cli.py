@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,24 +25,20 @@ from .errors import (
 from .exceptional import exceptional_pairs, is_normal
 from .facets import fundamental_sets, regular_vertices, supporting_hyperplanes
 from .graph_core import CactusSpec, diameter, is_triangular_cactus
-from .hole_families import classify, s2_verdict, verify_decomposition
+from .hole_families import classify, degree_cap, s2_verdict, verify_decomposition
 from .io import (
     format_graph_json,
     format_graph_text,
     load_graph,
     parse_cactus_spec_json,
 )
-from .semigroup import holes
+from .semigroup import count_by_degree, holes
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DECOMPOSITION_MISMATCH = 3
 EXIT_METHOD_MISMATCH = 4
-
-
-def _degree_cap() -> int:
-    return int(os.environ.get("EDGERING_MAX_DEGREE", "12"))
 
 
 # ---------------------------------------------------------------- gen
@@ -75,14 +70,6 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 
-def _count_by_degree(vectors) -> dict:
-    counts: dict[str, int] = {}
-    for x in vectors:
-        key = str(sum(x))
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items(), key=lambda kv: int(kv[0])))
-
-
 def cmd_analyze(args) -> int:
     G = load_graph(args.graph)
     if G.dimension > args.max_d:
@@ -93,7 +80,10 @@ def cmd_analyze(args) -> int:
         )
         return EXIT_INPUT_ERROR
     degree = args.degree
-    cap = _degree_cap()
+    if degree < 0:
+        print(f"analyze: truncation degree {degree} is negative", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    cap = degree_cap()
     if degree > cap:
         print(
             f"analyze: truncation degree {degree} capped to {cap} "
@@ -146,7 +136,7 @@ def cmd_analyze(args) -> int:
     report["holes"] = {
         "degree": degree,
         "total": len(hole_set),
-        "count_by_degree": _count_by_degree(hole_set),
+        "count_by_degree": count_by_degree(hole_set),
     }
     if hole_set:
         per = ", ".join(

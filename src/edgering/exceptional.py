@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import (
@@ -32,6 +31,7 @@ from .graph_core import (
     is_triangular_cactus,
     minimal_odd_cycles,
     neighbors_of_set,
+    per_graph,
 )
 
 
@@ -80,7 +80,7 @@ def is_exceptional(G: Graph, a: Cycle, b: Cycle) -> bool:
     return not any(G._adj[u] & vb for u in va)
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def exceptional_pairs(G: Graph) -> tuple:
     """All unordered exceptional pairs of minimal odd cycles, in canonical
     cycle order."""
@@ -106,7 +106,7 @@ def is_normal(G: Graph) -> bool:
 # closed forms for cycle-pair sums on diameter-4 triangular cacti
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@per_graph
 def require_diameter4_cactus(G: Graph):
     """Gate: G must be a triangular cactus of diameter 4. Returns the hub."""
     if not is_triangular_cactus(G) or diameter(G) != 4:
@@ -116,7 +116,7 @@ def require_diameter4_cactus(G: Graph):
     return hub_vertex(G)
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def _minimal_cycle_set(G: Graph) -> frozenset:
     return frozenset(minimal_odd_cycles(G))
 

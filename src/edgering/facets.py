@@ -11,7 +11,6 @@ reduce to integer evaluations against this list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import BipartiteGraphError, DimensionMismatchError
@@ -21,6 +20,7 @@ from .graph_core import (
     components,
     has_odd_cycle,
     neighbors_of_set,
+    per_graph,
     require_connected,
 )
 from .lattices import IntegerLattice
@@ -76,7 +76,7 @@ class FaceData:
     dimension: int
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def regular_vertices(G: Graph) -> tuple:
     """All vertices whose deletion leaves only components containing an odd
     cycle, in vertex order."""
@@ -91,39 +91,40 @@ def regular_vertices(G: Graph) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def fundamental_sets(G: Graph) -> tuple:
     """Every fundamental set, enumerated exhaustively over independent sets,
     sorted by (size, vertex indices)."""
     require_connected(G)
-    verts = G.vertices
-    d = len(verts)
     found = []
-
-    def extend(start: int, chosen: list, blocked: set) -> None:
-        for i in range(start, d):
-            v = verts[i]
-            if v in blocked:
-                continue
-            chosen.append(v)
-            T = frozenset(chosen)
-            N = neighbors_of_set(G, T)
-            if bipartite_induced_connected(G, T):
-                rest = set(verts) - T - N
-                if not rest or all(
-                    has_odd_cycle(G, c) for c in components(G, within=rest)
-                ):
-                    found.append(FundamentalSet(T, N))
-            # supersets stay independent only if they avoid neighbors
-            extend(i + 1, chosen, blocked | G.neighbors(v))
-            chosen.pop()
-
-    extend(0, [], set())
+    for T in _independent_sets(G, 0, frozenset(), frozenset()):
+        N = neighbors_of_set(G, T)
+        if bipartite_induced_connected(G, T):
+            rest = set(G.vertices) - T - N
+            if not rest or all(
+                has_odd_cycle(G, c) for c in components(G, within=rest)
+            ):
+                found.append(FundamentalSet(T, N))
     found.sort(key=lambda F: F.sort_key(G))
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
+def _independent_sets(G: Graph, start: int, chosen: frozenset, blocked: frozenset):
+    """Every nonempty independent set that extends `chosen` by vertices of
+    index `start` or later outside `blocked`, depth first. Kept at module
+    level: a recursive closure over G would be a reference cycle holding G,
+    and everything cached on it, until the cycle collector runs."""
+    for i in range(start, G.dimension):
+        v = G.vertices[i]
+        if v in blocked:
+            continue
+        T = chosen | {v}
+        yield T
+        # supersets stay independent only if they avoid neighbors
+        yield from _independent_sets(G, i + 1, T, blocked | G.neighbors(v))
+
+
+@per_graph
 def supporting_hyperplanes(G: Graph) -> tuple:
     """One hyperplane per regular vertex followed by one per fundamental
     set; identical coefficient vectors merge with provenances retained."""

@@ -10,6 +10,7 @@ triangles, spoke vertices "x1".."x{2n}", and optional pendant triangles
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
@@ -32,6 +33,20 @@ Vertex = Hashable
 Edge = tuple  # canonical (u, v) with index(u) < index(v)
 
 
+def per_graph(fn):
+    """Memoize fn(G, *args) in the cache of the graph instance G, so the
+    result is freed with G. Equal graphs built separately share nothing."""
+
+    @functools.wraps(fn)
+    def cached(G, *args, **kwargs):
+        key = (fn, *args, *sorted(kwargs.items()))
+        if key not in G._cache:
+            G._cache[key] = fn(G, *args, **kwargs)
+        return G._cache[key]
+
+    return cached
+
+
 class Graph:
     """Immutable finite simple graph.
 
@@ -41,7 +56,7 @@ class Graph:
     sorted, so generator order is reproducible run to run.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_nxg", "_hash")
+    __slots__ = ("vertices", "edges", "_index", "_adj", "_cache", "_hash", "__weakref__")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]]):
         vertices = tuple(vertices)
@@ -71,7 +86,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
-        self._nxg = None
+        self._cache = {}
         self._hash = hash((self.vertices, self.edges))
 
     # -- basic queries ------------------------------------------------------
@@ -110,13 +125,12 @@ class Graph:
             raise NotAnEdgeError(f"{{{u!r}, {v!r}}} is not an edge")
         return (u, v) if self.index(u) < self.index(v) else (v, u)
 
+    @per_graph
     def as_nx(self) -> "nx.Graph":
-        if self._nxg is None:
-            g = nx.Graph()
-            g.add_nodes_from(self.vertices)
-            g.add_edges_from(self.edges)
-            self._nxg = g
-        return self._nxg
+        g = nx.Graph()
+        g.add_nodes_from(self.vertices)
+        g.add_edges_from(self.edges)
+        return g
 
     # -- identity -----------------------------------------------------------
 
@@ -175,11 +189,6 @@ class Cycle:
     @property
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
-
-    def edge_pairs(self):
-        """Consecutive vertex pairs, wrapping around; orientation as stored."""
-        vs = self.vertices
-        return tuple((vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
     @staticmethod
     def make(G: Graph, seq: Sequence[Vertex], minimal: bool = False) -> "Cycle":
@@ -334,16 +343,13 @@ def neighbors_of_set(G: Graph, T: Iterable[Vertex]) -> frozenset:
     return frozenset(out)
 
 
-def is_independent(G: Graph, T: Iterable[Vertex]) -> bool:
-    T = _require_nonempty_vertex_set(G, T)
-    return not any(G._adj[u] & T for u in T)
-
-
 def bipartite_induced_connected(G: Graph, T: Iterable[Vertex]) -> bool:
     """Connectivity of the bipartite graph with parts T and N_G(T), keeping
     only the edges of G that leave T."""
-    T = _require_nonempty_vertex_set(G, T)
-    N = neighbors_of_set(G, T) - T
+    T = frozenset(T)
+    if not T:
+        raise EmptySetError("vertex set must be nonempty")
+    N = neighbors_of_set(G, T) - T  # raises on a label that is no vertex
     nodes = T | N
     start = next(iter(T))
     seen = {start}
@@ -358,15 +364,6 @@ def bipartite_induced_connected(G: Graph, T: Iterable[Vertex]) -> bool:
             seen.add(v)
             stack.append(v)
     return seen == nodes
-
-
-def _require_nonempty_vertex_set(G: Graph, T: Iterable[Vertex]) -> frozenset:
-    T = frozenset(T)
-    if not T:
-        raise EmptySetError("vertex set must be nonempty")
-    for v in T:
-        G.index(v)
-    return T
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import facets as facets_mod
 from .errors import (
     DecompositionMismatchError,
     DisconnectedError,
+    EdgeRingError,
     EmptySetError,
     NotDiameterFourCactusError,
 )
@@ -34,9 +35,9 @@ from .exceptional import (
     pair_vector,
     require_diameter4_cactus,
 )
-from .graph_core import Graph
+from .graph_core import Graph, per_graph
 from .lattices import IntegerLattice
-from .semigroup import enumerate_normalization, holes, vector_degree
+from .semigroup import count_by_degree, enumerate_normalization, holes, vector_degree
 
 TYPE1 = "Type1"
 TYPE2 = "Type2"
@@ -74,7 +75,7 @@ class CactusType:
         }
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def classify(G: Graph) -> CactusType:
     """Type1 iff the hub is a regular cutpoint, Type2 iff it is not regular;
     anything outside the diameter-4 triangular cactus class gets the
@@ -126,7 +127,7 @@ def _compatible(G: Graph, P: ExceptionalPair, Q: ExceptionalPair) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def exceptional_families(G: Graph) -> tuple:
     """All compatible collections of exceptional pairs of size 1 up to
     half the hub-triangle count. Larger compatible collections are outside
@@ -188,7 +189,9 @@ class HoleFamily:
 
     def __init__(self, G: Graph, shift: tuple, facet: facets_mod.Hyperplane,
                  source: str, family: ExceptionalFamily):
-        self.graph = G
+        # weak, because G caches its families: a strong reference would form
+        # a cycle that keeps G alive until the cycle collector runs
+        self._graph = weakref.ref(G)
         self.shift = shift
         self.facet = facet
         self.source = source  # "hub" | "fundamental"
@@ -200,6 +203,13 @@ class HoleFamily:
         )
         self._points: dict[int, frozenset] = {}
 
+    @property
+    def graph(self) -> Graph:
+        G = self._graph()
+        if G is None:
+            raise ReferenceError("the graph of this hole family no longer exists")
+        return G
+
     def points(self, D: int) -> frozenset:
         if D not in self._points:
             q = self.shift
@@ -209,13 +219,6 @@ class HoleFamily:
                 if self._lattice.contains(tuple(a - b for a, b in zip(x, q)))
             )
         return self._points[D]
-
-    def point_count_by_degree(self, D: int) -> dict:
-        counts: dict[str, int] = {}
-        for x in self.points(D):
-            key = str(vector_degree(x))
-            counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items(), key=lambda kv: int(kv[0])))
 
     def as_json(self, D: int | None = None) -> dict:
         out = {
@@ -227,7 +230,7 @@ class HoleFamily:
             "pairs": self.family.as_json(),
         }
         if D is not None:
-            out["points_by_degree"] = self.point_count_by_degree(D)
+            out["points_by_degree"] = count_by_degree(self.points(D))
         return out
 
     def __repr__(self) -> str:
@@ -240,33 +243,30 @@ class HoleFamily:
 def hole_decomposition(G: Graph, D: int | None = None) -> tuple:
     """The predicted families: for every compatible pair collection, one
     family per admissible fundamental set, plus the hub facet family when
-    the hub is regular (Type 1). Passing D precomputes truncated points."""
+    the hub is regular (Type 1). The families are built once per graph;
+    passing D precomputes their truncated points."""
+    families = _families(G)
+    if D is not None:
+        for hf in families:
+            hf.points(D)
+    return families
+
+
+@per_graph
+def _families(G: Graph) -> tuple:
     ct = _require_cactus_type(G)
     hyps = facets_mod.supporting_hyperplanes(G)
-    by_coeffs = {h.coefficients: h for h in hyps}
+    by_set = {F: h for h in hyps for F in h.sets}
     hub_hyp = None
     if ct.tag == TYPE1:
-        i = G.index(ct.hub)
-        hub_hyp = by_coeffs[
-            tuple(1 if j == i else 0 for j in range(G.dimension))
-        ]
+        hub_hyp = next(h for h in hyps if h.kind == "regular" and h.vertex == ct.hub)
     families = []
     for fam in exceptional_families(G):
         q = q_vector(G, fam)
         for F in admissible_fundamental_sets(G, fam):
-            coeffs = [0] * G.dimension
-            for v in F.vertices:
-                coeffs[G.index(v)] = -1
-            for v in F.neighborhood:
-                coeffs[G.index(v)] = 1
-            families.append(
-                HoleFamily(G, q, by_coeffs[tuple(coeffs)], "fundamental", fam)
-            )
+            families.append(HoleFamily(G, q, by_set[F], "fundamental", fam))
         if hub_hyp is not None:
             families.append(HoleFamily(G, q, hub_hyp, "hub", fam))
-    if D is not None:
-        for hf in families:
-            hf.points(D)
     return tuple(families)
 
 
@@ -286,7 +286,7 @@ def verify_decomposition(G: Graph, D: int) -> dict:
         "exceptional_pairs": [P.as_json() for P in exceptional_pairs(G)],
         "families": [hf.as_json(D) for hf in families],
         "family_dimensions": [hf.dimension for hf in families],
-        "hole_count_by_degree": _count_by_degree(hole_set),
+        "hole_count_by_degree": count_by_degree(hole_set),
         "family_point_total": len(union),
         "hole_total": len(hole_set),
         "holes_not_covered": [list(x) for x in missed],
@@ -298,10 +298,20 @@ def verify_decomposition(G: Graph, D: int) -> dict:
     return report
 
 
+def degree_cap() -> int:
+    """The truncation-degree cap from EDGERING_MAX_DEGREE (default 12)."""
+    raw = os.environ.get("EDGERING_MAX_DEGREE", "12")
+    if not raw.strip().isdecimal():
+        raise EdgeRingError(
+            f"EDGERING_MAX_DEGREE must be a nonnegative integer, got {raw!r}"
+        )
+    return int(raw)
+
+
 def default_truncation(G: Graph) -> int:
     """Default degree bound: 6 plus twice the largest usable collection
     size for cacti, 8 otherwise; capped by EDGERING_MAX_DEGREE (default 12)."""
-    cap = int(os.environ.get("EDGERING_MAX_DEGREE", "12"))
+    cap = degree_cap()
     ct = classify(G)
     if ct.tag in (TYPE1, TYPE2):
         return min(2 * (ct.triangles // 2) + 6, cap)
@@ -343,7 +353,7 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
                 "degree": D,
                 "type": ct.as_json(),
                 "reason": "no decomposition is available for this graph class",
-                "hole_count_by_degree": _count_by_degree(holes(G, D)),
+                "hole_count_by_degree": count_by_degree(holes(G, D)),
             },
         }
     ladder = sorted({x for x in (6, 8, 10, 12) if x < D} | {D})
@@ -364,7 +374,7 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
         "family_dimensions": [hf.dimension for hf in families],
         "all_families_full_dimension": dims_ok,
         "ladder_consistent": monotone,
-        "hole_count_by_degree": _count_by_degree(holes(G, D)),
+        "hole_count_by_degree": count_by_degree(holes(G, D)),
         "verified_at": {k: r["passed"] for k, r in reports.items()},
     }
     return {"normal": False, "s2": s2, "evidence": evidence}
@@ -384,11 +394,3 @@ def _ladder_consistent(G: Graph, families, ladder) -> bool:
             if hf.points(Dk) != frozenset(x for x in top_points if sum(x) <= Dk):
                 return False
     return True
-
-
-def _count_by_degree(vectors) -> dict:
-    counts: dict[str, int] = {}
-    for x in vectors:
-        key = str(sum(x))
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items(), key=lambda kv: int(kv[0])))

@@ -11,13 +11,11 @@ and the cycle-pair vectors that generate the normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import facets
 from .errors import DimensionMismatchError, MethodMismatchError
-from .graph_core import Graph
+from .graph_core import Graph, per_graph
 from .lattices import IntegerLattice
 
 LatticeVector = tuple  # tuple[int, ...] of length G.dimension
@@ -44,6 +42,16 @@ def graded_sorted(vectors: Iterable[Sequence[int]]) -> list[tuple]:
     return sorted((tuple(v) for v in vectors), key=lambda t: (sum(t), t))
 
 
+def count_by_degree(vectors: Iterable[Sequence[int]]) -> dict:
+    """Number of vectors per degree, keyed by the degree as a string, in
+    ascending degree order (the shape the JSON reports use)."""
+    counts: dict[str, int] = {}
+    for x in vectors:
+        key = str(vector_degree(x))
+        counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items(), key=lambda kv: int(kv[0])))
+
+
 def _check_vector(G: Graph, x: Sequence[int]) -> LatticeVector:
     x = tuple(int(c) for c in x)
     if len(x) != G.dimension:
@@ -54,46 +62,35 @@ def _check_vector(G: Graph, x: Sequence[int]) -> LatticeVector:
 
 
 # ---------------------------------------------------------------------------
-# semigroup data
+# generators and their lattice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SemigroupData:
-    """Generators (one per edge, in edge order), the integer lattice they
-    span with its Hermite-normal-form basis, and the lattice rank."""
-
-    graph: Graph
-    generators: tuple
-    lattice: IntegerLattice
-    lattice_basis: tuple
-    dimension: int
+@per_graph
+def generators(G: Graph) -> tuple:
+    """One generator per edge, in edge order."""
+    return tuple(rho_vector(G, u, v) for u, v in G.edges)
 
 
-@lru_cache(maxsize=None)
-def generators(G: Graph) -> SemigroupData:
-    gens = tuple(rho_vector(G, u, v) for u, v in G.edges)
-    lattice = IntegerLattice.from_vectors(G.dimension, gens)
-    return SemigroupData(
-        graph=G,
-        generators=gens,
-        lattice=lattice,
-        lattice_basis=lattice.basis(),
-        dimension=lattice.rank,
-    )
+@per_graph
+def edge_lattice(G: Graph) -> IntegerLattice:
+    """The integer lattice spanned by the edge generators."""
+    return IntegerLattice.from_vectors(G.dimension, generators(G))
 
 
 def lattice_member(G: Graph, x: Sequence[int]) -> bool:
     """Membership in the integer lattice spanned by the edge generators."""
-    return generators(G).lattice.contains(_check_vector(G, x))
+    return edge_lattice(G).contains(_check_vector(G, x))
 
 
 # ---------------------------------------------------------------------------
 # membership oracle
 # ---------------------------------------------------------------------------
 
-# residual vector -> witness tuple of edges, or None when not expressible;
-# subproblems depend only on the residual, so one table per graph is sound
-_memo_by_graph: dict[Graph, dict] = {}
+@per_graph
+def _memo(G: Graph) -> dict:
+    # residual vector -> witness tuple of edges, or None when not expressible;
+    # subproblems depend only on the residual, so one table per graph is sound
+    return {}
 
 
 def member(G: Graph, x: Sequence[int]) -> bool:
@@ -111,8 +108,7 @@ def decompose(G: Graph, x: Sequence[int]):
     """Witness multiset of edges summing to x, or None. Edges are returned
     sorted in canonical edge order."""
     x = _check_vector(G, x)
-    memo = _memo_by_graph.setdefault(G, {})
-    witness = _decompose(G, x, memo)
+    witness = _decompose(G, x, _memo(G))
     if witness is None:
         return None
     return tuple(sorted(witness, key=lambda e: (G.index(e[0]), G.index(e[1]))))
@@ -147,14 +143,14 @@ def _decompose(G: Graph, x: LatticeVector, memo: dict):
 # truncated enumerations
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@per_graph
 def enumerate_semigroup(G: Graph, D: int) -> frozenset:
     """All semigroup elements of degree <= D: closure of {0} under adding
     edge generators."""
-    return _closure(G.dimension, generators(G).generators, D)
+    return _closure(G.dimension, generators(G), D)
 
 
-@lru_cache(maxsize=None)
+@per_graph
 def enumerate_normalization(G: Graph, D: int) -> frozenset:
     """All vectors of degree <= D in cone ∩ lattice, computed by two
     independent methods that must agree.
@@ -174,6 +170,7 @@ def enumerate_normalization(G: Graph, D: int) -> frozenset:
     return by_filter
 
 
+@per_graph
 def holes(G: Graph, D: int) -> frozenset:
     """Normalization elements of degree <= D that are not in the semigroup."""
     return frozenset(x for x in enumerate_normalization(G, D) if not member(G, x))
@@ -191,7 +188,7 @@ def hole_report(G: Graph, D: int) -> list[tuple]:
 
 def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
     d = G.dimension
-    lattice = generators(G).lattice
+    lattice = edge_lattice(G)
     hyps = [
         h.coefficients
         for h in facets.supporting_hyperplanes(G)
@@ -237,12 +234,14 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
 def _enumerate_by_closure(G: Graph, D: int) -> frozenset:
     from .exceptional import exceptional_pairs, pair_vector
 
-    additions = list(generators(G).generators)
+    additions = list(generators(G))
     additions += [pair_vector(G, P) for P in exceptional_pairs(G)]
     return _closure(G.dimension, additions, D)
 
 
 def _closure(d: int, additions: Sequence[LatticeVector], D: int) -> frozenset:
+    if D < 0:
+        return frozenset()
     zero = (0,) * d
     seen = {zero}
     frontier = [zero]

@@ -17,14 +17,16 @@ for _name in _NAMES:
     globals()[_name] = _fixture_factory(_name)
 
 
+# Results are cached on each Graph instance, so these hand out the same
+# per-name session graphs rather than loading second copies.
 @pytest.fixture(scope="session")
-def all_fixture_graphs():
-    return {name: fx.load(name) for name in _NAMES}
+def all_fixture_graphs(request):
+    return {name: request.getfixturevalue(name) for name in _NAMES}
 
 
 @pytest.fixture(scope="session")
-def small_fixture_graphs():
+def small_fixture_graphs(request):
     return {
-        name: fx.load(name)
+        name: request.getfixturevalue(name)
         for name in ("triangle", "bowtie", "friend3", "cac3", "t1min", "t2min")
     }

@@ -144,6 +144,18 @@ def test_analyze_degree_cap_env(t1min_file, tmp_path, capsys, monkeypatch):
     assert json.loads(report_path.read_text())["holes"]["degree"] == 6
 
 
+def test_analyze_negative_degree(t1min_file, capsys):
+    assert main(["analyze", str(t1min_file), "--degree", "-1"]) == 2
+    assert "negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["-4", "twelve"])
+def test_analyze_bad_degree_cap_env(t1min_file, capsys, monkeypatch, raw):
+    monkeypatch.setenv("EDGERING_MAX_DEGREE", raw)
+    assert main(["analyze", str(t1min_file)]) == 2
+    assert "EDGERING_MAX_DEGREE" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ verify-paper
 
 

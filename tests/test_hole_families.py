@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import warnings
+import weakref
 from pathlib import Path
 
 import pytest
@@ -8,8 +10,10 @@ import pytest
 from edgering import (
     CactusSpec,
     DecompositionMismatchError,
+    EdgeRingError,
     EmptySetError,
     ExceptionalFamily,
+    Graph,
     NotDiameterFourCactusError,
     admissible_fundamental_sets,
     build_from_edges,
@@ -312,6 +316,42 @@ def test_default_truncation(t1min, t2min, cact4b, bowtie, monkeypatch):
     monkeypatch.setenv("EDGERING_MAX_DEGREE", "6")
     assert default_truncation(cact4b) == 6
     assert default_truncation(t1min) == 6
+
+
+@pytest.mark.parametrize("raw", ["abc", "-4", "1.5", ""])
+def test_default_truncation_rejects_bad_env(t1min, monkeypatch, raw):
+    monkeypatch.setenv("EDGERING_MAX_DEGREE", raw)
+    with pytest.raises(EdgeRingError, match="EDGERING_MAX_DEGREE"):
+        default_truncation(t1min)
+
+
+def test_hole_decomposition_built_once(t1min):
+    families = hole_decomposition(t1min)
+    assert hole_decomposition(t1min) is families
+    assert hole_decomposition(t1min, 8) is families
+    verify_decomposition(t1min, 8)
+    assert hole_decomposition(t1min) is families
+
+
+def test_results_are_freed_with_the_graph(t1min):
+    tag = "_freed_with_graph"
+    G = Graph([f"{v}{tag}" for v in t1min.vertices],
+              [(f"{a}{tag}", f"{b}{tag}") for a, b in t1min.edges])
+    assert s2_verdict(G, 8)["s2"] is True
+    ref = weakref.ref(G)
+    del G
+    assert ref() is None  # no reference cycle: freed without the collector
+    gc.collect()
+    assert not [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, Graph) and any(str(v).endswith(tag) for v in obj.vertices)
+    ]
+
+
+def test_family_outliving_its_graph_says_so():
+    (hf,) = hole_decomposition(build_triangular_cactus(triangles=2, pendants=(1, 0, 1, 0)))
+    with pytest.raises(ReferenceError):
+        hf.as_json()
 
 
 def test_golden_evidence(t1min, t2min):

@@ -166,6 +166,13 @@ def test_truncation_monotone(t1min):
 # ------------------------------------------------------------ holes
 
 
+def test_negative_degree_enumerates_nothing(t1min):
+    # both normalization methods agree on the empty set below degree 0
+    assert enumerate_normalization(t1min, -1) == frozenset()
+    assert enumerate_semigroup(t1min, -2) == frozenset()
+    assert holes(t1min, -1) == frozenset()
+
+
 def test_holes_empty_for_normal_fixtures(triangle, bowtie, friend3, cac3):
     for G in (triangle, bowtie, friend3, cac3):
         assert holes(G, 12) == frozenset()
