@@ -25,7 +25,7 @@ from .exceptional import (
     pair_vector,
 )
 from .facets import face_of, fundamental_sets, regular_vertices, supporting_hyperplanes
-from .graph_core import diameter
+from .graph_core import cutpoints, diameter
 from .hole_families import classify, hole_decomposition, s2_verdict, verify_decomposition
 from .semigroup import enumerate_normalization, holes, member
 
@@ -254,7 +254,7 @@ def criterion_taxonomy(load) -> dict:
     checks = {
         "t1min_type1": c1.tag == "Type1",
         "t1min_hub_regular": c1.hub in set(regular_vertices(t1)),
-        "t1min_hub_is_cutpoint": _is_cutpoint(t1, c1.hub),
+        "t1min_hub_is_cutpoint": c1.hub in cutpoints(t1),
         "t1min_no_zeta_edge": c1.omega_count == 0,
         "t2min_type2": c2.tag == "Type2",
         "t2min_hub_not_regular": c2.hub not in set(regular_vertices(t2)),
@@ -272,12 +272,6 @@ def criterion_taxonomy(load) -> dict:
             "t2min": c2.as_json(),
         },
     }
-
-
-def _is_cutpoint(G, v) -> bool:
-    from .graph_core import blocks_and_cutpoints
-
-    return v in blocks_and_cutpoints(G)[1]
 
 
 CRITERIA = (

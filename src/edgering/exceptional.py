@@ -116,14 +116,9 @@ def require_diameter4_cactus(G: Graph):
     return hub_vertex(G)
 
 
-@per_graph
-def _minimal_cycle_set(G: Graph) -> frozenset:
-    return frozenset(minimal_odd_cycles(G))
-
-
 def _require_pair(G: Graph, P: ExceptionalPair) -> None:
     for c in P.cycles():
-        if c not in _minimal_cycle_set(G):
+        if c not in minimal_odd_cycles(G):
             raise PreconditionViolatedError(f"{c} is not a minimal odd cycle of G")
     if not is_exceptional(G, P.first, P.second):
         raise PreconditionViolatedError("the given pair is not exceptional")

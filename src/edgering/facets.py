@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import BipartiteGraphError, DimensionMismatchError
+from .errors import BipartiteGraphError
 from .graph_core import (
     Graph,
     bipartite_induced_connected,
+    check_vector,
     components,
     has_odd_cycle,
     neighbors_of_set,
@@ -159,11 +160,7 @@ def supporting_hyperplanes(G: Graph) -> tuple:
 
 def cone_contains(G: Graph, x: Sequence[int]) -> bool:
     """True iff every supporting hyperplane evaluates >= 0 on x."""
-    x = tuple(int(c) for c in x)
-    if len(x) != G.dimension:
-        raise DimensionMismatchError(
-            f"vector length {len(x)} != graph dimension {G.dimension}"
-        )
+    x = check_vector(G, x)
     return all(h.value(x) >= 0 for h in supporting_hyperplanes(G))
 
 

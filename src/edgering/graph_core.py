@@ -13,9 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Hashable, Iterable, Sequence
-
-import networkx as nx
 
 from .errors import (
     AmbiguousCenterError,
@@ -125,13 +124,6 @@ class Graph:
             raise NotAnEdgeError(f"{{{u!r}, {v!r}}} is not an edge")
         return (u, v) if self.index(u) < self.index(v) else (v, u)
 
-    @per_graph
-    def as_nx(self) -> "nx.Graph":
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        g.add_edges_from(self.edges)
-        return g
-
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -146,6 +138,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.dimension} vertices, {self.edge_count} edges)"
+
+
+def check_vector(G: Graph, x: Sequence[int]) -> tuple:
+    """x as a tuple of ints, indexed by G's vertex order."""
+    x = tuple(int(c) for c in x)
+    if len(x) != G.dimension:
+        raise DimensionMismatchError(
+            f"vector length {len(x)} != graph dimension {G.dimension}"
+        )
+    return x
 
 
 def build_from_edges(edge_list: Iterable, vertices: Iterable[Vertex] = None) -> Graph:
@@ -208,38 +210,39 @@ class Cycle:
         return Cycle(best, minimal=minimal)
 
 
-def has_chord(G: Graph, cycle: Cycle) -> bool:
-    """True if any edge of G joins two non-consecutive cycle vertices."""
-    vs = cycle.vertices
-    n = len(vs)
-    for i, j in itertools.combinations(range(n), 2):
-        if (j - i) % n in (1, n - 1):
-            continue
-        if G.has_edge(vs[i], vs[j]):
-            return True
-    return False
-
-
-def minimal_odd_cycles(G: Graph, max_length: int | None = None) -> tuple[Cycle, ...]:
+@per_graph
+def minimal_odd_cycles(G: Graph) -> tuple[Cycle, ...]:
     """All chordless odd cycles, each once up to rotation and reflection.
 
-    For a triangular cactus this is exactly the set of blocks. Sorted by
-    (length, vertex indices) so downstream pair enumeration is deterministic.
+    Induced paths grow from each start s through higher-index vertices and
+    close at the first vertex adjacent to s, in Cycle.make's orientation.
+    For a triangular cactus these are the blocks. Sorted by (length, vertex
+    indices) so downstream pair enumeration is deterministic.
     """
+    adj, ix = G._adj, G._index
     found = []
-    for nodes in nx.chordless_cycles(G.as_nx(), length_bound=max_length):
-        if len(nodes) % 2 == 1:
-            found.append(Cycle.make(G, nodes, minimal=True))
+    for i, s in enumerate(G.vertices):
+        later = frozenset(G.vertices[i + 1:])
+        stack = [(s, a) for a in adj[s] & later]
+        while stack:
+            path = stack.pop()
+            for v in (adj[path[-1]] & later).difference(path):
+                if not adj[v].isdisjoint(path[1:-1]):
+                    continue  # a chord
+                if s not in adj[v]:
+                    stack.append(path + (v,))
+                elif len(path) % 2 == 0 and ix[path[1]] < ix[v]:
+                    found.append(Cycle(path + (v,), minimal=True))
     found.sort(key=lambda c: (c.length, tuple(G.index(v) for v in c.vertices)))
     return tuple(found)
 
 
 # ---------------------------------------------------------------------------
-# connectivity, distance, blocks
+# connectivity, distance, cutpoints
 # ---------------------------------------------------------------------------
 
 def is_connected(G: Graph) -> bool:
-    return nx.is_connected(G.as_nx())
+    return len(components(G)) == 1
 
 
 def require_connected(G: Graph) -> None:
@@ -248,13 +251,22 @@ def require_connected(G: Graph) -> None:
 
 
 def diameter(G: Graph) -> int:
-    require_connected(G)
-    return nx.diameter(G.as_nx())
+    return max(eccentricities(G).values())
 
 
-def eccentricities(G: Graph) -> dict:
+@per_graph
+def eccentricities(G: Graph) -> MappingProxyType:
+    """Vertex -> eccentricity, one breadth-first sweep each; read-only, as shared."""
     require_connected(G)
-    return dict(nx.eccentricity(G.as_nx()))
+    ecc = {}
+    for s in G.vertices:
+        seen = frontier = {s}
+        radius = 0
+        while frontier := {v for u in frontier for v in G._adj[u]} - seen:
+            seen |= frontier
+            radius += 1
+        ecc[s] = radius
+    return MappingProxyType(ecc)
 
 
 def components(G: Graph, within: Iterable[Vertex] | None = None,
@@ -305,29 +317,24 @@ def has_odd_cycle(G: Graph, within: Iterable[Vertex] | None = None) -> bool:
     return False
 
 
-def is_bipartite(G: Graph) -> bool:
-    return not has_odd_cycle(G)
-
-
-def blocks_and_cutpoints(G: Graph) -> tuple[tuple[frozenset, ...], frozenset]:
-    """Biconnected components (as vertex sets) and articulation vertices."""
+def cutpoints(G: Graph) -> frozenset:
+    """Articulation vertices: those whose deletion disconnects G."""
     require_connected(G)
-    nxg = G.as_nx()
-    blocks = sorted(
-        (frozenset(b) for b in nx.biconnected_components(nxg)),
-        key=lambda b: sorted(G.index(v) for v in b),
-    )
-    return tuple(blocks), frozenset(nx.articulation_points(nxg))
+    return frozenset(v for v in G.vertices if len(components(G, without=(v,))) > 1)
 
 
 def is_triangular_cactus(G: Graph) -> bool:
     """True iff G is connected, has at least one edge, and every block is a
-    3-cycle (3-vertex biconnected components are automatically triangles)."""
+    3-cycle: decided by counting, as every edge in exactly one triangle and
+    2|E| = 3(|V| - 1). Edge-disjoint triangles are independent cycles, so
+    equality of their number |E|/3 with the cycle rank |E| - |V| + 1 makes
+    them a basis: every cycle is a union of edge-disjoint triangles, hence a
+    triangle, which leaves no room for a larger block. Conversely a cactus
+    of t triangles has 3t edges and 2t + 1 vertices."""
     require_connected(G)
-    if G.edge_count == 0:
-        return False
-    blocks, _ = blocks_and_cutpoints(G)
-    return all(len(b) == 3 for b in blocks)
+    adj = G._adj
+    return (0 < 2 * G.edge_count == 3 * (G.dimension - 1)
+            and all(len(adj[u] & adj[v]) == 1 for u, v in G.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from . import facets
-from .errors import DimensionMismatchError, MethodMismatchError
-from .graph_core import Graph, per_graph
+from .errors import MethodMismatchError
+from .graph_core import Graph, check_vector, per_graph
 from .lattices import IntegerLattice
 
 LatticeVector = tuple  # tuple[int, ...] of length G.dimension
@@ -52,15 +52,6 @@ def count_by_degree(vectors: Iterable[Sequence[int]]) -> dict:
     return dict(sorted(counts.items(), key=lambda kv: int(kv[0])))
 
 
-def _check_vector(G: Graph, x: Sequence[int]) -> LatticeVector:
-    x = tuple(int(c) for c in x)
-    if len(x) != G.dimension:
-        raise DimensionMismatchError(
-            f"vector length {len(x)} != graph dimension {G.dimension}"
-        )
-    return x
-
-
 # ---------------------------------------------------------------------------
 # generators and their lattice
 # ---------------------------------------------------------------------------
@@ -79,7 +70,7 @@ def edge_lattice(G: Graph) -> IntegerLattice:
 
 def lattice_member(G: Graph, x: Sequence[int]) -> bool:
     """Membership in the integer lattice spanned by the edge generators."""
-    return edge_lattice(G).contains(_check_vector(G, x))
+    return edge_lattice(G).contains(check_vector(G, x))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +98,7 @@ def member(G: Graph, x: Sequence[int]) -> bool:
 def decompose(G: Graph, x: Sequence[int]):
     """Witness multiset of edges summing to x, or None. Edges are returned
     sorted in canonical edge order."""
-    x = _check_vector(G, x)
+    x = check_vector(G, x)
     witness = _decompose(G, x, _memo(G))
     if witness is None:
         return None
@@ -203,31 +194,33 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
             gain[h][k] = 1 if (hyps[h][k] > 0 or gain[h][k + 1]) else 0
     touched = [[h for h in range(H) if hyps[h][k]] for k in range(d)]
 
+    # iterative, so no self-referencing closure is left for the collector;
+    # x[k] == -1: unchosen, f: values on the prefix, left[k]: degree free at k
     found: list[tuple] = []
-    x = [0] * d
+    x = [-1] * d
     f = [0] * H
-
-    def walk(k: int, budget: int) -> None:
-        if k == d:
-            if (D - budget) % 2 == 0 and all(c >= 0 for c in f):
-                vec = tuple(x)
-                if lattice.contains(vec):
-                    found.append(vec)
-            return
-        for val in range(budget + 1):
-            x[k] = val
-            if val:
-                for h in touched[k]:
-                    f[h] += hyps[h][k] * val
-            rem = budget - val
-            if all(f[h] + (rem if gain[h][k + 1] else 0) >= 0 for h in touched[k]):
-                walk(k + 1, rem)
-            if val:
-                for h in touched[k]:
-                    f[h] -= hyps[h][k] * val
-        x[k] = 0
-
-    walk(0, D)
+    left = [D] * d
+    k = 0
+    while k >= 0:
+        val = x[k] + 1
+        if val > left[k]:
+            for h in touched[k]:
+                f[h] -= hyps[h][k] * x[k]
+            x[k] = -1
+            k -= 1
+            continue
+        x[k] = val
+        if val:
+            for h in touched[k]:
+                f[h] += hyps[h][k]
+        rem = left[k] - val
+        if not all(f[h] + (rem if gain[h][k + 1] else 0) >= 0 for h in touched[k]):
+            continue
+        if k + 1 < d:
+            left[k + 1] = rem
+            k += 1
+        elif (D - rem) % 2 == 0 and all(c >= 0 for c in f) and lattice.contains(tuple(x)):
+            found.append(tuple(x))
     return frozenset(found)
 
 

@@ -1,8 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here recomputes a quantity by a different route than the
-library: matrix-power diameters, delete-and-count cutpoints, subset
-enumeration for cycles and fundamental sets, multiset enumeration for
+library: Floyd-Warshall distances, delete-and-count cutpoints, subset
+enumeration for cycles, blocks and fundamental sets, multiset enumeration for
 semigroup membership, LP feasibility for cone membership, and the
 classical closed form for the edge lattice. Slow is fine; independent is
 the point.
@@ -28,8 +28,8 @@ def adjacency(G) -> np.ndarray:
     return A
 
 
-def oracle_diameter(G) -> int:
-    """Floyd-Warshall over the index matrix."""
+def oracle_eccentricities(G) -> dict:
+    """Floyd-Warshall over the index matrix; each vertex's row maximum."""
     d = G.dimension
     INF = 10**9
     dist = [[0 if i == j else INF for j in range(d)] for i in range(d)]
@@ -41,10 +41,14 @@ def oracle_diameter(G) -> int:
             for j in range(d):
                 if dist[i][k] + dist[k][j] < dist[i][j]:
                     dist[i][j] = dist[i][k] + dist[k][j]
-    best = max(max(row) for row in dist)
-    if best >= INF:
+    ecc = {v: max(dist[G.index(v)]) for v in G.vertices}
+    if max(ecc.values()) >= INF:
         raise ValueError("disconnected")
-    return best
+    return ecc
+
+
+def oracle_diameter(G) -> int:
+    return max(oracle_eccentricities(G).values())
 
 
 def _component_count(vertices, edge_set) -> int:
@@ -84,14 +88,29 @@ def oracle_cutpoints(G) -> set:
     return out
 
 
-def oracle_chordless_cycles(G, max_length=None) -> set:
+def oracle_connected(G) -> bool:
+    return _component_count(G.vertices, G.edges) == 1
+
+
+def has_chord(G, cycle) -> bool:
+    """True if any edge of G joins two non-consecutive cycle vertices."""
+    vs = cycle.vertices
+    n = len(vs)
+    for i, j in itertools.combinations(range(n), 2):
+        if (j - i) % n in (1, n - 1):
+            continue
+        if G.has_edge(vs[i], vs[j]):
+            return True
+    return False
+
+
+def oracle_chordless_cycles(G) -> set:
     """All chordless cycles as frozensets of vertices, by checking every
     vertex subset for being an induced cycle (every vertex of induced
     degree 2, connected)."""
     verts = list(G.vertices)
-    cap = max_length if max_length is not None else len(verts)
     out = set()
-    for k in range(3, cap + 1):
+    for k in range(3, len(verts) + 1):
         for combo in itertools.combinations(verts, k):
             inside = set(combo)
             degs = {
@@ -105,6 +124,36 @@ def oracle_chordless_cycles(G, max_length=None) -> set:
             if _component_count(combo, edges) == 1:
                 out.add(frozenset(combo))
     return out
+
+
+def oracle_blocks(G) -> list:
+    """Blocks by definition: the maximal vertex sets of size >= 2 whose
+    induced subgraph is connected and, from three vertices on, stays
+    connected after deleting any one vertex. Checks every subset."""
+    def induced(S):
+        return [(a, b) for a, b in G.edges if a in S and b in S]
+
+    good = []
+    for k in range(2, G.dimension + 1):
+        for combo in itertools.combinations(G.vertices, k):
+            S = set(combo)
+            if _component_count(S, induced(S)) != 1:
+                continue
+            if k > 2 and any(
+                _component_count(S - {v}, induced(S - {v})) != 1 for v in S
+            ):
+                continue
+            good.append(frozenset(S))
+    return [S for S in good if not any(S < T for T in good)]
+
+
+def oracle_is_triangular_cactus(G) -> bool:
+    """Connected, at least one edge, and every block is a triangle."""
+    return (
+        oracle_connected(G)
+        and bool(G.edges)
+        and all(len(B) == 3 for B in oracle_blocks(G))
+    )
 
 
 def oracle_is_bipartite_subset(G, vertices) -> bool:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,3 +210,26 @@ def test_verify_paper_json_report(tmp_path, capsys):
     capsys.readouterr()
     (report,) = json.loads(path.read_text())
     assert report["name"] == "doubling" and report["passed"] is True
+
+
+# ------------------------------------------------------------ import policy
+
+
+def test_analyze_imports_no_third_party_module(t1min_file):
+    # the library is pure Python; numpy and scipy serve only the test oracles
+    script = (
+        "import sys, edgering\n"
+        "from edgering.cli import main\n"
+        f"code = main(['analyze', {str(t1min_file)!r}])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('networkx', 'numpy', 'scipy')))\n"
+        "sys.exit(code)\n"
+    )
+    src = str(DATA.parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

@@ -23,12 +23,10 @@ from edgering import (
     minimal_odd_cycles,
 )
 from edgering.graph_core import (
-    blocks_and_cutpoints,
     components,
+    cutpoints,
     eccentricities,
-    has_chord,
     has_odd_cycle,
-    is_bipartite,
     is_connected,
     neighbors_of_set,
 )
@@ -104,11 +102,11 @@ def test_has_chord():
         (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")),
     )
     cyc = Cycle.make(square_diag, ("a", "b", "c", "d"))
-    assert has_chord(square_diag, cyc)
+    assert oracles.has_chord(square_diag, cyc)
     square = Graph(
         ("a", "b", "c", "d"), (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"))
     )
-    assert not has_chord(square, Cycle.make(square, ("a", "b", "c", "d")))
+    assert not oracles.has_chord(square, Cycle.make(square, ("a", "b", "c", "d")))
 
 
 def test_minimal_odd_cycles_match_subset_oracle(all_fixture_graphs):
@@ -120,11 +118,16 @@ def test_minimal_odd_cycles_match_subset_oracle(all_fixture_graphs):
         assert got == want, name
 
 
+def _wheel(n):
+    rim = [f"r{i}" for i in range(n)]
+    return build_from_edges(
+        [("hub", r) for r in rim] + [(rim[i], rim[(i + 1) % n]) for i in range(n)]
+    )
+
+
 def test_minimal_odd_cycles_wheel():
-    rim = ["r1", "r2", "r3", "r4", "r5"]
-    edges = [("hub", r) for r in rim]
-    edges += [(rim[i], rim[(i + 1) % 5]) for i in range(5)]
-    W = build_from_edges(edges)
+    W = _wheel(5)
+    rim = [v for v in W.vertices if v != "hub"]
     got = {c.vertex_set for c in minimal_odd_cycles(W)}
     want = oracles.oracle_chordless_cycles(W)
     want = {s for s in want if len(s) % 2 == 1}
@@ -163,15 +166,14 @@ def test_bipartite_detection():
     path = build_from_edges([("a", "b"), ("b", "c")])
     even = build_from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     odd = build_from_edges([("a", "b"), ("b", "c"), ("c", "a")])
-    assert is_bipartite(path) and not has_odd_cycle(path)
-    assert is_bipartite(even) and not has_odd_cycle(even)
-    assert not is_bipartite(odd) and has_odd_cycle(odd)
+    assert not has_odd_cycle(path)
+    assert not has_odd_cycle(even)
+    assert has_odd_cycle(odd)
 
 
 def test_cutpoints_match_removal_oracle(all_fixture_graphs):
     for name, G in all_fixture_graphs.items():
-        _, cuts = blocks_and_cutpoints(G)
-        assert set(cuts) == oracles.oracle_cutpoints(G), name
+        assert cutpoints(G) == oracles.oracle_cutpoints(G), name
 
 
 def test_neighbors_of_set(t1min):
@@ -183,13 +185,66 @@ def test_neighbors_of_set(t1min):
 # ---------------------------------------------------------------- cacti
 
 
+def _ring_of_four_triangles():
+    # the hubs c0..c3 close a 4-cycle, so the whole graph is one 8-vertex block
+    edges = []
+    for i in range(4):
+        a, b, m = f"c{i}", f"c{(i + 1) % 4}", f"m{i}"
+        edges += [(a, b), (a, m), (b, m)]
+    return build_from_edges(edges)
+
+
+def _labelled_graphs(max_n):
+    """Every graph on the vertex labels a, b, ... for 1..max_n vertices."""
+    for n in range(1, max_n + 1):
+        verts = "abcde"[:n]
+        pairs = list(itertools.combinations(verts, 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(verts, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def _assert_primitives_match_oracles(G):
+    assert is_connected(G) == oracles.oracle_connected(G)
+    if not is_connected(G):
+        for fn in (diameter, eccentricities, cutpoints, is_triangular_cactus):
+            with pytest.raises(DisconnectedError):
+                fn(G)
+        return
+    cycles = minimal_odd_cycles(G)
+    assert len({c.vertex_set for c in cycles}) == len(cycles)
+    assert {c.vertex_set for c in cycles} == {
+        s for s in oracles.oracle_chordless_cycles(G) if len(s) % 2 == 1
+    }
+    for c in cycles:
+        assert c == Cycle.make(G, c.vertices) and not oracles.has_chord(G, c)
+    assert cutpoints(G) == oracles.oracle_cutpoints(G)
+    assert dict(eccentricities(G)) == oracles.oracle_eccentricities(G)
+    assert diameter(G) == oracles.oracle_diameter(G)
+    assert is_triangular_cactus(G) == oracles.oracle_is_triangular_cactus(G)
+
+
+def test_primitives_match_oracles_on_all_small_graphs():
+    count = 0
+    for G in _labelled_graphs(5):
+        _assert_primitives_match_oracles(G)
+        count += is_connected(G)
+    assert count == 1 + 1 + 4 + 38 + 728  # connected labelled graphs, n <= 5
+
+
 def test_is_triangular_cactus_cases(all_fixture_graphs):
     for name, G in all_fixture_graphs.items():
         assert is_triangular_cactus(G), name  # every fixture is one
     square = build_from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-    assert not is_triangular_cactus(square)
     tri_tail = build_from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "t")])
-    assert not is_triangular_cactus(tri_tail)
+    ring = _ring_of_four_triangles()
+    # every edge of the ring lies in exactly one triangle: only the count
+    # 2|E| = 3(|V| - 1) tells it from a cactus
+    assert all(len(ring.neighbors(u) & ring.neighbors(v)) == 1 for u, v in ring.edges)
+    assert oracles.oracle_blocks(ring) == [frozenset(ring.vertices)]
+    K4 = build_from_edges(itertools.combinations("abcd", 2))
+    for G in (square, tri_tail, ring, K4, _wheel(5)):
+        _assert_primitives_match_oracles(G)
+        assert not is_triangular_cactus(G)
 
 
 def test_cactus_spec_validation():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -18,7 +19,8 @@ from edgering import (
     unit_vector,
     vector_degree,
 )
-from edgering.semigroup import graded_sorted
+from edgering.fixtures import load
+from edgering.semigroup import _enumerate_by_inequalities, graded_sorted
 
 
 def bounded_vectors(d, D):
@@ -171,6 +173,19 @@ def test_negative_degree_enumerates_nothing(t1min):
     assert enumerate_normalization(t1min, -1) == frozenset()
     assert enumerate_semigroup(t1min, -2) == frozenset()
     assert holes(t1min, -1) == frozenset()
+
+
+def test_method_a_leaves_no_garbage():
+    # a self-referencing walk would stay alive until the cycle collector ran
+    G = load("t2min")
+    _enumerate_by_inequalities(G, 2)  # fill the graph's caches first
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(_enumerate_by_inequalities(G, 8)) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_holes_empty_for_normal_fixtures(triangle, bowtie, friend3, cac3):
