@@ -1,9 +1,10 @@
 """The acceptance suite: eight exact desk-scale checks.
 
-Each criterion function takes a fixture loader and returns a report dict
-with a `passed` flag and enough detail to diagnose a failure. `run_all`,
-the engine behind both the CLI verification command and the test suite,
-loads each fixture once per call, so the criteria share per-graph results.
+Each criterion function takes a fixture loader and returns `(passed,
+details)`, with enough detail to diagnose a failure; `CRITERIA` pairs it
+with its title. `run_all`, the engine behind both the CLI verification
+command and the test suite, turns those into reports and loads each fixture
+once per call, so the criteria share per-graph results.
 
 Fixture policy: the enumeration-heavy criteria (2, 3, 5) run on the
 fixtures with ambient dimension at most 12 — the scale the suite's runtime
@@ -15,7 +16,7 @@ queries stay cheap.
 from __future__ import annotations
 
 from . import fixtures
-from .errors import DecompositionMismatchError, EdgeRingError, MethodMismatchError
+from .errors import EdgeRingError, MethodMismatchError
 from .exceptional import (
     double_w_edge_cases,
     edge_augment_cases,
@@ -36,7 +37,7 @@ NON_NORMAL_FIXTURES = ("t1min", "t2min")
 LADDER = (6, 8, 10, 12)
 
 
-def criterion_figure1(load) -> dict:
+def criterion_figure1(load) -> tuple:
     """Bowtie facet inventory: regular vertices and the unique
     single-vertex fundamental set."""
     G = load("bowtie")
@@ -44,19 +45,13 @@ def criterion_figure1(load) -> dict:
     singles = [F.vertices for F in fundamental_sets(G) if len(F.vertices) == 1]
     ok_regular = regs == {"v2", "v3", "v4", "v5"}
     ok_single = singles == [frozenset({"v1"})]
-    return {
-        "id": 1,
-        "name": "figure1",
-        "title": "bowtie regular vertices and single-vertex fundamental set",
-        "passed": ok_regular and ok_single,
-        "details": {
-            "regular_vertices": sorted(regs),
-            "single_vertex_fundamental_sets": [sorted(s) for s in singles],
-        },
+    return ok_regular and ok_single, {
+        "regular_vertices": sorted(regs),
+        "single_vertex_fundamental_sets": [sorted(s) for s in singles],
     }
 
 
-def criterion_normality(load) -> dict:
+def criterion_normality(load) -> tuple:
     """Normality dichotomy plus the empty-holes cross-check at degree 12
     in both directions."""
     details = {}
@@ -73,16 +68,10 @@ def criterion_normality(load) -> dict:
             "holes_at_12": hole_count,
         }
         passed = passed and ok
-    return {
-        "id": 2,
-        "name": "normality",
-        "title": "normality dichotomy with degree-12 hole cross-check",
-        "passed": passed,
-        "details": details,
-    }
+    return passed, details
 
 
-def criterion_main_theorem(load) -> dict:
+def criterion_main_theorem(load) -> tuple:
     """Hole decomposition verified on the degree ladder, all families of
     dimension d-1, and the non-normal/(S2) verdict, on both minimal
     diameter-4 fixtures."""
@@ -123,16 +112,10 @@ def criterion_main_theorem(load) -> dict:
             ok = False
         details[name] = entry
         passed = passed and ok
-    return {
-        "id": 3,
-        "name": "main-theorem",
-        "title": "decomposition ladder, family dimensions, and (S2) verdict",
-        "passed": passed,
-        "details": details,
-    }
+    return passed, details
 
 
-def criterion_lemmas(load) -> dict:
+def criterion_lemmas(load) -> tuple:
     """Closed forms of the three membership lemmas against the brute-force
     oracle, exhaustively over admissible inputs."""
     details = {}
@@ -156,16 +139,10 @@ def criterion_lemmas(load) -> dict:
                 entry[label]["first_disagreement"] = disagreements[0]
                 passed = False
         details[name] = entry
-    return {
-        "id": 4,
-        "name": "lemmas",
-        "title": "lemma closed forms agree with the membership oracle",
-        "passed": passed,
-        "details": details,
-    }
+    return passed, details
 
 
-def criterion_cross_check(load) -> dict:
+def criterion_cross_check(load) -> tuple:
     """Inequality-filter enumeration equals closure enumeration up to
     degree 12 on every dimension-at-most-12 fixture."""
     details = {}
@@ -182,16 +159,10 @@ def criterion_cross_check(load) -> dict:
                 "only_closure_method": len(exc.only_second),
             }
             passed = False
-    return {
-        "id": 5,
-        "name": "cross-check",
-        "title": "two independent normalization enumerations agree to degree 12",
-        "passed": passed,
-        "details": details,
-    }
+    return passed, details
 
 
-def criterion_doubling(load) -> dict:
+def criterion_doubling(load) -> tuple:
     """Every exceptional pair vector is a hole whose double is not."""
     details = {}
     passed = True
@@ -212,16 +183,10 @@ def criterion_doubling(load) -> dict:
             if in_s is not False or double_in_s is not True:
                 passed = False
         details[name] = rows
-    return {
-        "id": 6,
-        "name": "doubling",
-        "title": "pair vectors are non-members whose doubles are members",
-        "passed": passed,
-        "details": details,
-    }
+    return passed, details
 
 
-def criterion_facet_rank(load) -> dict:
+def criterion_facet_rank(load) -> tuple:
     """Every supporting hyperplane of every fixture meets the cone in a
     face of dimension exactly d-1."""
     details = {}
@@ -236,16 +201,10 @@ def criterion_facet_rank(load) -> dict:
             "off_rank": [x for x in dims if x != G.dimension - 1],
         }
         passed = passed and ok
-    return {
-        "id": 7,
-        "name": "facet-rank",
-        "title": "all supporting hyperplanes have face dimension d-1",
-        "passed": passed,
-        "details": details,
-    }
+    return passed, details
 
 
-def criterion_taxonomy(load) -> dict:
+def criterion_taxonomy(load) -> tuple:
     """Type classification of the two minimal fixtures, including the
     adjacent-degree-2-spoke law that separates the types."""
     t1 = load("t1min")
@@ -261,28 +220,22 @@ def criterion_taxonomy(load) -> dict:
         "t2min_omega_pairs": list(c2.omega_pairs) == [("x5", "x6")],
         "t2min_has_zeta_edge": c2.omega_count >= 1,
     }
-    return {
-        "id": 8,
-        "name": "taxonomy",
-        "title": "type classification and the degree-2 spoke adjacency law",
-        "passed": all(checks.values()),
-        "details": {
-            "checks": checks,
-            "t1min": c1.as_json(),
-            "t2min": c2.as_json(),
-        },
+    return all(checks.values()), {
+        "checks": checks,
+        "t1min": c1.as_json(),
+        "t2min": c2.as_json(),
     }
 
 
 CRITERIA = (
-    criterion_figure1,
-    criterion_normality,
-    criterion_main_theorem,
-    criterion_lemmas,
-    criterion_cross_check,
-    criterion_doubling,
-    criterion_facet_rank,
-    criterion_taxonomy,
+    (criterion_figure1, "bowtie regular vertices and single-vertex fundamental set"),
+    (criterion_normality, "normality dichotomy with degree-12 hole cross-check"),
+    (criterion_main_theorem, "decomposition ladder, family dimensions, and (S2) verdict"),
+    (criterion_lemmas, "lemma closed forms agree with the membership oracle"),
+    (criterion_cross_check, "two independent normalization enumerations agree to degree 12"),
+    (criterion_doubling, "pair vectors are non-members whose doubles are members"),
+    (criterion_facet_rank, "all supporting hyperplanes have face dimension d-1"),
+    (criterion_taxonomy, "type classification and the degree-2 spoke adjacency law"),
 )
 
 
@@ -291,7 +244,7 @@ def _name(fn) -> str:
 
 
 def criterion_names() -> tuple:
-    return tuple(_name(fn) for fn in CRITERIA)
+    return tuple(_name(fn) for fn, _ in CRITERIA)
 
 
 def run_all(only=None, fixtures_dir=None) -> list:
@@ -315,20 +268,15 @@ def run_all(only=None, fixtures_dir=None) -> list:
         return graphs[name]
 
     reports = []
-    for fn in CRITERIA:
+    for i, (fn, title) in enumerate(CRITERIA, 1):
         name = _name(fn)
         if wanted is not None and name not in wanted:
             continue
         try:
-            reports.append(fn(load))
+            passed, details = fn(load)
         except (EdgeRingError, OSError, ValueError) as exc:
-            reports.append(
-                {
-                    "id": CRITERIA.index(fn) + 1,
-                    "name": name,
-                    "title": fn.__doc__.strip().split("\n")[0] if fn.__doc__ else name,
-                    "passed": False,
-                    "details": {"error": f"{type(exc).__name__}: {exc}"},
-                }
-            )
+            passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
+        reports.append(
+            {"id": i, "name": name, "title": title, "passed": passed, "details": details}
+        )
     return reports

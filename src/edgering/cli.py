@@ -39,6 +39,10 @@ EXIT_ACCEPTANCE_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DECOMPOSITION_MISMATCH = 3
 EXIT_METHOD_MISMATCH = 4
+MISMATCH_EXIT = {
+    DecompositionMismatchError: EXIT_DECOMPOSITION_MISMATCH,
+    MethodMismatchError: EXIT_METHOD_MISMATCH,
+}
 
 
 # ---------------------------------------------------------------- gen
@@ -92,6 +96,11 @@ def cmd_analyze(args) -> int:
         )
         degree = cap
 
+    # the facet layer refuses a graph without an odd cycle; asking it first
+    # means such a graph is refused before any of the report is printed
+    regs = regular_vertices(G)
+    fsets = fundamental_sets(G)
+    hyps = supporting_hyperplanes(G)
     ct = classify(G)
     report: dict = {
         "graph": {
@@ -115,9 +124,6 @@ def cmd_analyze(args) -> int:
     }
     print(f"normal: {normal} ({len(pairs)} exceptional pair(s))")
 
-    regs = regular_vertices(G)
-    fsets = fundamental_sets(G)
-    hyps = supporting_hyperplanes(G)
     report["facets"] = {
         "regular_vertices": list(regs),
         "fundamental_set_count": len(fsets),
@@ -128,11 +134,7 @@ def cmd_analyze(args) -> int:
         f"sets, {len(hyps)} supporting hyperplanes"
     )
 
-    try:
-        hole_set = holes(G, degree)
-    except MethodMismatchError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return EXIT_METHOD_MISMATCH
+    hole_set = holes(G, degree)
     report["holes"] = {
         "degree": degree,
         "total": len(hole_set),
@@ -148,25 +150,14 @@ def cmd_analyze(args) -> int:
 
     report["decomposition"] = None
     if ct.tag in ("Type1", "Type2"):
-        try:
-            dec = verify_decomposition(G, degree)
-        except DecompositionMismatchError as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
-            return EXIT_DECOMPOSITION_MISMATCH
+        dec = verify_decomposition(G, degree)
         report["decomposition"] = dec
         print(
             f"decomposition: {len(dec['families'])} hole families, "
             f"dimensions {dec['family_dimensions']}, verified at degree {degree}"
         )
 
-    try:
-        verdict = s2_verdict(G, degree)
-    except DecompositionMismatchError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return EXIT_DECOMPOSITION_MISMATCH
-    except MethodMismatchError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return EXIT_METHOD_MISMATCH
+    verdict = s2_verdict(G, degree)
     report["s2"] = verdict
     s2_text = {True: "true", False: "false", None: "inconclusive"}[verdict["s2"]]
     print(f"verdict: normal={str(verdict['normal']).lower()} s2={s2_text}")
@@ -262,10 +253,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EdgeRingError as exc:
-        print(f"{parser.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OSError, ValueError) as exc:
+    except (DecompositionMismatchError, MethodMismatchError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return MISMATCH_EXIT[type(exc)]
+    except (EdgeRingError, OSError, ValueError) as exc:
         print(f"{parser.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

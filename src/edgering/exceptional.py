@@ -50,14 +50,6 @@ class ExceptionalPair:
     def vertex_set(self) -> frozenset:
         return self.first.vertex_set | self.second.vertex_set
 
-    @staticmethod
-    def make(G: Graph, a: Cycle, b: Cycle) -> "ExceptionalPair":
-        ka = tuple(G.index(v) for v in a.vertices)
-        kb = tuple(G.index(v) for v in b.vertices)
-        if (len(ka), ka) > (len(kb), kb):
-            a, b = b, a
-        return ExceptionalPair(a, b)
-
     def as_json(self) -> list:
         return [list(map(str, self.first.vertices)), list(map(str, self.second.vertices))]
 

@@ -11,7 +11,6 @@ triangles, spoke vertices "x1".."x{2n}", and optional pendant triangles
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Hashable, Iterable, Sequence
@@ -105,9 +104,6 @@ class Graph:
         except KeyError:
             raise UnknownEndpointError(f"{v!r} is not a vertex of this graph") from None
 
-    def has_vertex(self, v: Vertex) -> bool:
-        return v in self._index
-
     def neighbors(self, v: Vertex) -> frozenset:
         self.index(v)
         return self._adj[v]
@@ -185,29 +181,9 @@ class Cycle:
         return len(self.vertices)
 
     @property
-    def is_odd(self) -> bool:
-        return self.length % 2 == 1
-
-    @property
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
 
-    @staticmethod
-    def make(G: Graph, seq: Sequence[Vertex], minimal: bool = False) -> "Cycle":
-        seq = tuple(seq)
-        if len(seq) < 3:
-            raise ValueError("a cycle needs at least 3 vertices")
-        if len(set(seq)) != len(seq):
-            raise ValueError("cycle vertices must be distinct")
-        for a, b in zip(seq, seq[1:] + seq[:1]):
-            if not G.has_edge(a, b):
-                raise NotAnEdgeError(f"consecutive cycle vertices {a!r}, {b!r} not adjacent")
-        ix = G.index
-        k = min(range(len(seq)), key=lambda i: ix(seq[i]))
-        fwd = seq[k:] + seq[:k]
-        rev = (fwd[0],) + tuple(reversed(fwd[1:]))
-        best = min(fwd, rev, key=lambda t: tuple(ix(v) for v in t))
-        return Cycle(best, minimal=minimal)
 
 
 @per_graph
@@ -215,7 +191,7 @@ def minimal_odd_cycles(G: Graph) -> tuple[Cycle, ...]:
     """All chordless odd cycles, each once up to rotation and reflection.
 
     Induced paths grow from each start s through higher-index vertices and
-    close at the first vertex adjacent to s, in Cycle.make's orientation.
+    close at the first vertex adjacent to s, in Cycle's canonical orientation.
     For a triangular cactus these are the blocks. Sorted by (length, vertex
     indices) so downstream pair enumeration is deterministic.
     """
@@ -408,21 +384,6 @@ class CactusSpec:
 
     def pendant_label(self, i: int, k: int) -> str:
         return f"y{i}_{k}"
-
-    def expected_diameter(self) -> int:
-        """Diameter of the built graph, by case analysis on where the
-        pendant triangles sit. Cross-checked against BFS in the tests."""
-        n = self.triangles
-        loaded = [i for i in range(1, 2 * n + 1) if self.pendants[i - 1] > 0]
-        # spokes 2k-1 and 2k are adjacent; any other spoke pair is not
-        for a, b in itertools.combinations(loaded, 2):
-            if not (a % 2 == 1 and b == a + 1):
-                return 4
-        if loaded:
-            if n == 1:
-                return 3 if len(loaded) == 2 else 2
-            return 3
-        return 1 if n == 1 else 2
 
     def build(self) -> Graph:
         hub = "w"

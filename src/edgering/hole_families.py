@@ -37,7 +37,13 @@ from .exceptional import (
 )
 from .graph_core import Graph, per_graph
 from .lattices import IntegerLattice
-from .semigroup import count_by_degree, enumerate_normalization, holes, vector_degree
+from .semigroup import (
+    count_by_degree,
+    enumerate_normalization,
+    graded_sorted,
+    holes,
+    vector_degree,
+)
 
 TYPE1 = "Type1"
 TYPE2 = "Type2"
@@ -56,10 +62,6 @@ class CactusType:
     zeta_vertices: frozenset = frozenset()
     omega_pairs: tuple = ()
     triangles: int = 0
-
-    @property
-    def zeta_count(self) -> int:
-        return len(self.zeta_vertices)
 
     @property
     def omega_count(self) -> int:
@@ -131,7 +133,8 @@ def _compatible(G: Graph, P: ExceptionalPair, Q: ExceptionalPair) -> bool:
 def exceptional_families(G: Graph) -> tuple:
     """All compatible collections of exceptional pairs of size 1 up to
     half the hub-triangle count. Larger compatible collections are outside
-    the proven range; finding one triggers a warning, never silent use."""
+    the proven range; finding one (the search goes one size further)
+    triggers a warning, never silent use."""
     ct = _require_cactus_type(G)
     pairs = exceptional_pairs(G)
     bound = ct.triangles // 2
@@ -140,17 +143,17 @@ def exceptional_families(G: Graph) -> tuple:
         for i, j in itertools.combinations(range(len(pairs)), 2)
     }
     out = []
-    for p in range(1, bound + 1):
+    for p in range(1, bound + 2):
         for combo in itertools.combinations(range(len(pairs)), p):
-            if all(compat[i, j] for i, j in itertools.combinations(combo, 2)):
-                out.append(ExceptionalFamily(tuple(pairs[i] for i in combo)))
-    for combo in itertools.combinations(range(len(pairs)), bound + 1):
-        if all(compat[i, j] for i, j in itertools.combinations(combo, 2)):
-            warnings.warn(
-                f"compatible collection of {bound + 1} exceptional pairs exceeds "
-                f"the proven bound {bound}; not used in family construction"
-            )
-            break
+            if not all(compat[i, j] for i, j in itertools.combinations(combo, 2)):
+                continue
+            if p > bound:
+                warnings.warn(
+                    f"compatible collection of {p} exceptional pairs exceeds "
+                    f"the proven bound {bound}; not used in family construction"
+                )
+                break
+            out.append(ExceptionalFamily(tuple(pairs[i] for i in combo)))
     return tuple(out)
 
 
@@ -274,11 +277,11 @@ def verify_decomposition(G: Graph, D: int) -> dict:
     """Check that the enumerated holes up to degree D equal the union of
     the predicted families' truncated points. Returns the evidence report;
     raises DecompositionMismatchError when the sets differ."""
-    families = hole_decomposition(G, D)
+    families = hole_decomposition(G)
     hole_set = holes(G, D)
-    union = frozenset().union(*(hf.points(D) for hf in families)) if families else frozenset()
-    missed = sorted(hole_set - union, key=lambda x: (sum(x), x))
-    extra = sorted(union - hole_set, key=lambda x: (sum(x), x))
+    union = frozenset().union(*(hf.points(D) for hf in families))
+    missed = graded_sorted(hole_set - union)
+    extra = graded_sorted(union - hole_set)
     report = {
         "graph": {"dimension": G.dimension, "edges": G.edge_count},
         "degree": D,
@@ -358,39 +361,34 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
         }
     ladder = sorted({x for x in (6, 8, 10, 12) if x < D} | {D})
     reports = {str(Dk): verify_decomposition(G, Dk) for Dk in ladder}
-    families = hole_decomposition(G, D)
-    monotone = _ladder_consistent(G, families, ladder)
+    top = reports[str(D)]
+    monotone = _ladder_consistent(G, ladder)
     d = G.dimension
-    dims_ok = all(hf.dimension == d - 1 for hf in families)
+    dims_ok = all(x == d - 1 for x in top["family_dimensions"])
     s2: bool | None = True if (dims_ok and monotone) else None
     evidence = {
         "route": ct.tag,
         "degree": D,
         "ladder": ladder,
-        "type": ct.as_json(),
         "ambient_dimension": d,
-        "exceptional_pairs": [P.as_json() for P in exceptional_pairs(G)],
-        "families": [hf.as_json(D) for hf in families],
-        "family_dimensions": [hf.dimension for hf in families],
         "all_families_full_dimension": dims_ok,
         "ladder_consistent": monotone,
-        "hole_count_by_degree": count_by_degree(holes(G, D)),
         "verified_at": {k: r["passed"] for k, r in reports.items()},
+        # the top rung's report already holds this evidence
+        **{k: top[k] for k in ("type", "exceptional_pairs", "families",
+                               "family_dimensions", "hole_count_by_degree")},
     }
     return {"normal": False, "s2": s2, "evidence": evidence}
 
 
-def _ladder_consistent(G: Graph, families, ladder) -> bool:
+def _ladder_consistent(G: Graph, ladder) -> bool:
     """Smaller-degree results must be exactly the degree slices of larger
     ones, for both holes and family points."""
     top = ladder[-1]
-    top_holes = holes(G, top)
-    for Dk in ladder[:-1]:
-        if holes(G, Dk) != frozenset(x for x in top_holes if sum(x) <= Dk):
-            return False
-    for hf in families:
-        top_points = hf.points(top)
+    slices = [lambda Dk: holes(G, Dk)] + [hf.points for hf in hole_decomposition(G)]
+    for points in slices:
+        top_points = points(top)
         for Dk in ladder[:-1]:
-            if hf.points(Dk) != frozenset(x for x in top_points if sum(x) <= Dk):
+            if points(Dk) != frozenset(x for x in top_points if sum(x) <= Dk):
                 return False
     return True

@@ -18,15 +18,12 @@ from .errors import MethodMismatchError
 from .graph_core import Graph, check_vector, per_graph
 from .lattices import IntegerLattice
 
-LatticeVector = tuple  # tuple[int, ...] of length G.dimension
-
-
-def unit_vector(G: Graph, v) -> LatticeVector:
+def unit_vector(G: Graph, v) -> tuple:
     i = G.index(v)
     return tuple(1 if j == i else 0 for j in range(G.dimension))
 
 
-def rho_vector(G: Graph, u, v) -> LatticeVector:
+def rho_vector(G: Graph, u, v) -> tuple:
     """Generator for edge {u, v}: unit(u) + unit(v). NotAnEdgeError if absent."""
     a, b = G.edge(u, v)
     i, j = G.index(a), G.index(b)
@@ -92,7 +89,7 @@ def member(G: Graph, x: Sequence[int]) -> bool:
     in the package is checked against, so it stays definitional: no parity
     or cone shortcuts.
     """
-    return decompose(G, x) is not None
+    return _decompose(G, check_vector(G, x), _memo(G)) is not None
 
 
 def decompose(G: Graph, x: Sequence[int]):
@@ -105,7 +102,7 @@ def decompose(G: Graph, x: Sequence[int]):
     return tuple(sorted(witness, key=lambda e: (G.index(e[0]), G.index(e[1]))))
 
 
-def _decompose(G: Graph, x: LatticeVector, memo: dict):
+def _decompose(G: Graph, x: tuple, memo: dict):
     if any(c < 0 for c in x):
         return None
     if not any(x):
@@ -232,7 +229,7 @@ def _enumerate_by_closure(G: Graph, D: int) -> frozenset:
     return _closure(G.dimension, additions, D)
 
 
-def _closure(d: int, additions: Sequence[LatticeVector], D: int) -> frozenset:
+def _closure(d: int, additions: Sequence[tuple], D: int) -> frozenset:
     if D < 0:
         return frozenset()
     zero = (0,) * d

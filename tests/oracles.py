@@ -51,6 +51,22 @@ def oracle_diameter(G) -> int:
     return max(oracle_eccentricities(G).values())
 
 
+def expected_diameter(spec) -> int:
+    """Diameter of the cactus a CactusSpec builds, by case analysis on
+    where the pendant triangles sit."""
+    n = spec.triangles
+    loaded = [i for i in range(1, 2 * n + 1) if spec.pendants[i - 1] > 0]
+    # spokes 2k-1 and 2k are adjacent; any other spoke pair is not
+    for a, b in itertools.combinations(loaded, 2):
+        if not (a % 2 == 1 and b == a + 1):
+            return 4
+    if loaded:
+        if n == 1:
+            return 3 if len(loaded) == 2 else 2
+        return 3
+    return 1 if n == 1 else 2
+
+
 def _component_count(vertices, edge_set) -> int:
     vertices = list(vertices)
     seen = set()
@@ -90,6 +106,19 @@ def oracle_cutpoints(G) -> set:
 
 def oracle_connected(G) -> bool:
     return _component_count(G.vertices, G.edges) == 1
+
+
+def canonical_cycle(G, seq) -> tuple:
+    """The vertices of the cycle `seq` in canonical order: rotated to start
+    at the smallest-index vertex, then the smaller of the two orientations
+    by vertex indices."""
+    seq = tuple(seq)
+    assert len(seq) >= 3 and len(set(seq)) == len(seq)
+    assert all(G.has_edge(a, b) for a, b in zip(seq, seq[1:] + seq[:1]))
+    k = min(range(len(seq)), key=lambda i: G.index(seq[i]))
+    fwd = seq[k:] + seq[:k]
+    rev = (fwd[0],) + tuple(reversed(fwd[1:]))
+    return min(fwd, rev, key=lambda t: [G.index(v) for v in t])
 
 
 def has_chord(G, cycle) -> bool:

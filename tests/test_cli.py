@@ -6,11 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from edgering import format_graph_text, load_graph, s2_verdict
+from edgering import (
+    DecompositionMismatchError,
+    MethodMismatchError,
+    acceptance,
+    cli,
+    format_graph_text,
+    load_graph,
+    s2_verdict,
+)
 from edgering.cli import main
 from edgering.fixtures import load
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "edgering" / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "src" / "edgering" / "data"
 
 
 @pytest.fixture
@@ -159,6 +168,44 @@ def test_analyze_bad_degree_cap_env(t1min_file, capsys, monkeypatch, raw):
     assert "EDGERING_MAX_DEGREE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["3 2\na\nb\nc\na b\nb c\n", "1 0\nv\n"],
+                         ids=["path", "vertex"])
+def test_analyze_refuses_bipartite_graph_before_writing(tmp_path, capsys, text):
+    # no odd cycle, so the facet layer refuses the graph
+    graph = tmp_path / "g.graph"
+    graph.write_text(text)
+    report_path = tmp_path / "r.json"
+    assert main(["analyze", str(graph), "--json", str(report_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BipartiteGraphError" in captured.err
+    assert not report_path.exists()
+
+
+DECOMPOSITION_MISMATCH = DecompositionMismatchError(
+    {"holes_not_covered": [[0] * 9], "family_points_not_holes": []}
+)
+METHOD_MISMATCH = MethodMismatchError({(0,) * 9}, ())
+
+
+@pytest.mark.parametrize("stage, error, code", [
+    ("holes", METHOD_MISMATCH, 4),
+    ("verify_decomposition", DECOMPOSITION_MISMATCH, 3),
+    ("s2_verdict", DECOMPOSITION_MISMATCH, 3),
+    ("s2_verdict", METHOD_MISMATCH, 4),
+])
+def test_analyze_mismatch_exit_codes(t1min_file, tmp_path, capsys, monkeypatch,
+                                     stage, error, code):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, stage, fail)
+    report_path = tmp_path / "r.json"
+    assert main(["analyze", str(t1min_file), "--json", str(report_path)]) == code
+    assert capsys.readouterr().err == f"analyze: {error}\n"
+    assert not report_path.exists()
+
+
 # ------------------------------------------------------------ verify-paper
 
 
@@ -203,6 +250,18 @@ def test_verify_paper_tampered_fixture(tmp_path, capsys):
     assert "NotDiameterFourCactus" in out  # diagnostic names the cause
 
 
+def test_verify_paper_failing_criterion_keeps_its_title(tmp_path, capsys):
+    # bowtie is file-backed, so loading it from an empty directory raises
+    code = main(["verify-paper", "--fixtures", str(tmp_path), "--only", "figure1"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert (
+        "[FAIL] 1. figure1: bowtie regular vertices and single-vertex "
+        "fundamental set\n"
+    ) in out
+    assert "FileNotFoundError" in out
+
+
 def test_verify_paper_json_report(tmp_path, capsys):
     path = tmp_path / "vp.json"
     code = main(["verify-paper", "--only", "doubling", "--json", str(path)])
@@ -210,6 +269,40 @@ def test_verify_paper_json_report(tmp_path, capsys):
     capsys.readouterr()
     (report,) = json.loads(path.read_text())
     assert report["name"] == "doubling" and report["passed"] is True
+
+
+# ------------------------------------------------------------ README
+
+
+def _console_block(command):
+    """The lines the README shows under `$ <command>` in a console block."""
+    text = (ROOT / "README.md").read_text()
+    head = f"```console\n$ {command}\n"
+    start = text.index(head) + len(head)
+    return text[start:text.index("```", start)].splitlines()
+
+
+def test_readme_gen_and_analyze_blocks_match_cli(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for command in ("gen --n 2 --s 1,0,1,0 -o t1.graph", "analyze t1.graph --degree 8"):
+        assert main(command.split()) == 0
+        captured = capsys.readouterr()
+        # each command writes all of its stdout before its stderr
+        lines = (captured.out + captured.err).splitlines()
+        assert _console_block(f"edgering {command}") == lines, command
+
+
+def test_readme_verify_paper_block_matches_criteria(monkeypatch, capsys):
+    # every criterion passing, without running the suite
+    reports = [
+        {"id": i, "name": name, "title": title, "passed": True, "details": {}}
+        for i, (name, (_, title)) in enumerate(
+            zip(acceptance.criterion_names(), acceptance.CRITERIA), 1
+        )
+    ]
+    monkeypatch.setattr(acceptance, "run_all", lambda only, fixtures_dir: reports)
+    assert main(["verify-paper"]) == 0
+    assert _console_block("edgering verify-paper") == capsys.readouterr().out.splitlines()
 
 
 # ------------------------------------------------------------ import policy

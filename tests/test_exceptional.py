@@ -72,9 +72,6 @@ def test_is_exceptional_positive(t1min):
 
 def test_pair_canonical_order(t1min):
     (P,) = exceptional_pairs(t1min)
-    a, b = P.cycles()
-    swapped = ExceptionalPair.make(t1min, b, a)
-    assert swapped == P
     assert P.as_json() == [["x1", "y1_1", "y1_2"], ["x3", "y3_1", "y3_2"]]
 
 
@@ -124,8 +121,8 @@ def test_pair_sum_bridged_rematch_is_member():
     # produces bridged (non-exceptional) pairings on both sides
     G = build_triangular_cactus(triangles=2, pendants=(1, 1, 1, 1))
     cycles = {min(c.vertex_set): c for c in minimal_odd_cycles(G)}
-    P = ExceptionalPair.make(G, cycles["x1"], cycles["x3"])
-    Q = ExceptionalPair.make(G, cycles["x2"], cycles["x4"])
+    P = ExceptionalPair(cycles["x1"], cycles["x3"])
+    Q = ExceptionalPair(cycles["x2"], cycles["x4"])
     assert lemma_pair_sum(G, P, Q) is True
     assert member(G, lemma_pair_sum_vector(G, P, Q)) is True
 
