@@ -84,14 +84,10 @@ def exceptional_pairs(G: Graph) -> tuple:
     )
 
 
-def odd_cycle_condition(G: Graph) -> bool:
-    """Every two minimal odd cycles share a vertex or are bridged."""
-    return not exceptional_pairs(G)
-
-
 def is_normal(G: Graph) -> bool:
-    """Normality of the edge ring; equivalent to the odd cycle condition."""
-    return odd_cycle_condition(G)
+    """Normality of the edge ring, by the odd cycle condition: every two
+    minimal odd cycles share a vertex or are bridged."""
+    return not exceptional_pairs(G)
 
 
 # ---------------------------------------------------------------------------

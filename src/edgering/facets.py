@@ -70,11 +70,15 @@ class Hyperplane:
 
 @dataclass(frozen=True)
 class FaceData:
-    """Generators lying on a hyperplane and the rank of the lattice they span."""
+    """The edges whose generators lie on a hyperplane, and the lattice those
+    generators span; its rank is the dimension of the face."""
 
     edges: tuple
-    generator_vectors: tuple
-    dimension: int
+    lattice: IntegerLattice
+
+    @property
+    def dimension(self) -> int:
+        return self.lattice.rank
 
 
 @per_graph
@@ -165,8 +169,8 @@ def cone_contains(G: Graph, x: Sequence[int]) -> bool:
 
 
 def face_of(G: Graph, H: Hyperplane) -> FaceData:
-    """The generators on which H vanishes, with the integer rank of the
-    lattice they span (the dimension of the face H supports)."""
+    """The edges whose generators H vanishes on, with the lattice those
+    generators span; its rank is the dimension of the face H supports."""
     from .semigroup import rho_vector
 
     edges = []
@@ -176,5 +180,4 @@ def face_of(G: Graph, H: Hyperplane) -> FaceData:
         if H.value(g) == 0:
             edges.append((u, v))
             vectors.append(g)
-    rank = IntegerLattice.from_vectors(G.dimension, vectors).rank
-    return FaceData(tuple(edges), tuple(vectors), rank)
+    return FaceData(tuple(edges), IntegerLattice(G.dimension, vectors))

@@ -31,12 +31,11 @@ from .exceptional import (
     ExceptionalPair,
     exceptional_pairs,
     is_exceptional,
-    odd_cycle_condition,
+    is_normal,
     pair_vector,
     require_diameter4_cactus,
 )
 from .graph_core import Graph, per_graph
-from .lattices import IntegerLattice
 from .semigroup import (
     count_by_degree,
     enumerate_normalization,
@@ -185,8 +184,8 @@ def admissible_fundamental_sets(G: Graph, family: ExceptionalFamily) -> tuple:
 class HoleFamily:
     """One predicted family of holes: shift + facet lattice, within the cone.
 
-    `points(D)` filters the degree-truncated normalization through an exact
-    integer-lattice solve of (x - shift) against the facet's generators, so
+    `points(D)` keeps the points x of the degree-truncated normalization
+    whose difference x - shift lies in the facet's lattice, so
     family points and holes share one enumeration and one representation.
     """
 
@@ -201,9 +200,6 @@ class HoleFamily:
         self.family = family
         self.face = facets_mod.face_of(G, facet)
         self.dimension = self.face.dimension
-        self._lattice = IntegerLattice.from_vectors(
-            G.dimension, self.face.generator_vectors
-        )
         self._points: dict[int, frozenset] = {}
 
     @property
@@ -219,7 +215,7 @@ class HoleFamily:
             self._points[D] = frozenset(
                 x
                 for x in enumerate_normalization(self.graph, D)
-                if self._lattice.contains(tuple(a - b for a, b in zip(x, q)))
+                if self.face.lattice.contains([a - b for a, b in zip(x, q)])
             )
         return self._points[D]
 
@@ -334,7 +330,7 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
     if D is None:
         D = default_truncation(G)
     ct = classify(G)
-    normal = odd_cycle_condition(G)
+    normal = is_normal(G)
     if normal:
         hole_set = holes(G, D)
         return {

@@ -1,9 +1,11 @@
-"""Exact integer lattices: membership and rank by xgcd row reduction.
+"""Exact integer lattices: rank and membership by derived congruences.
 
-Rows are kept in echelon form (pivot columns strictly increasing, pivots
-positive), which is enough for membership tests and rank; `basis()` finishes
-the reduction to Hermite normal form for a canonical, reproducible matrix.
-All arithmetic is on Python ints, so there is no overflow to guard against.
+The constructor brings the generator matrix M (one row per generator) to
+diagonal form S = P·M·V with integer row and column operations, once, and
+keeps only the column operations V. A vector x lies in the row span of M iff
+(x·V)_i ≡ 0 (mod |s_i|) for each nonzero diagonal entry s_i and (x·V)_i = 0
+beyond the rank, so membership is a few dot products. All arithmetic is on
+Python ints, so there is no overflow to guard against.
 """
 
 from __future__ import annotations
@@ -13,117 +15,73 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) = a*x + b*y, g >= 0 for (a, b) != (0, 0)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 class IntegerLattice:
-    """A sublattice of Z^dimension, built up by absorbing generator vectors."""
+    """The sublattice of Z^dimension spanned by `vectors`.
 
-    def __init__(self, dimension: int):
+    `_congruences` holds one (sparse functional, modulus) pair per column of
+    V: x is a member iff f·x ≡ 0 (mod m) for every pair, where m = 0 means
+    f·x = 0. Pairs with m = 1 hold for every integer vector and are dropped.
+    """
+
+    def __init__(self, dimension: int, vectors: Iterable[Sequence[int]]):
         if dimension < 0:
             raise DimensionMismatchError("dimension must be nonnegative")
         self.dimension = dimension
-        self._rows: list[list[int]] = []  # echelon; _pivots[i] = pivot col of row i
-        self._pivots: list[int] = []
+        rows = [list(self._check(v)) for v in vectors]
+        rows = [r for r in rows if any(r)]
+        cols = [[int(i == j) for i in range(dimension)] for j in range(dimension)]
+        moduli = []
+        t = 0
+        while t < len(rows):
+            # pivot on the smallest nonzero entry of row t, then clear row and
+            # column t by floor division; any remainder is smaller than the
+            # pivot, so its row becomes row t and the step repeats
+            pivot = rows[t]
+            j = min((k for k in range(t, dimension) if pivot[k]),
+                    key=lambda k: abs(pivot[k]))
+            for r in rows[t:]:
+                r[t], r[j] = r[j], r[t]
+            cols[t], cols[j] = cols[j], cols[t]
+            p = pivot[t]
+            for r in rows[t + 1:]:
+                q = r[t] // p
+                if q:
+                    for k in range(t, dimension):
+                        r[k] -= q * pivot[k]
+            for k in range(t + 1, dimension):
+                q = pivot[k] // p
+                if q:
+                    for r in rows[t:]:
+                        r[k] -= q * r[t]
+                    cols[k] = [a - q * b for a, b in zip(cols[k], cols[t])]
+            below = next((i for i in range(t + 1, len(rows)) if rows[i][t]), None)
+            if below is not None:
+                rows[t], rows[below] = rows[below], rows[t]
+            elif not any(pivot[t + 1:]):
+                moduli.append(abs(p))
+                t += 1
+                rows[t:] = [r for r in rows[t:] if any(r)]
+        self.rank = t
+        moduli += [0] * (dimension - t)
+        self._congruences = []
+        for f, m in zip(cols, moduli):
+            if m != 1:
+                f = [c % m for c in f] if m else f
+                f = tuple((j, c) for j, c in enumerate(f) if c)
+                self._congruences.append((f, m))
 
-    @classmethod
-    def from_vectors(cls, dimension: int, vectors: Iterable[Sequence[int]]) -> "IntegerLattice":
-        lat = cls(dimension)
-        for v in vectors:
-            lat.add(v)
-        return lat
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _check(self, vector: Sequence[int]) -> list[int]:
-        v = [int(c) for c in vector]
-        if len(v) != self.dimension:
+    def _check(self, vector: Sequence[int]) -> Sequence[int]:
+        if len(vector) != self.dimension:
             raise DimensionMismatchError(
-                f"vector length {len(v)} != lattice dimension {self.dimension}"
+                f"vector length {len(vector)} != lattice dimension {self.dimension}"
             )
-        return v
-
-    def add(self, vector: Sequence[int]) -> None:
-        """Absorb a vector; no-op if it is already in the lattice."""
-        v = self._check(vector)
-        while True:
-            j = _first_nonzero(v)
-            if j is None:
-                return
-            i = _index_of(self._pivots, j)
-            if i is None:
-                if v[j] < 0:
-                    v = [-c for c in v]
-                pos = 0
-                while pos < len(self._pivots) and self._pivots[pos] < j:
-                    pos += 1
-                self._rows.insert(pos, v)
-                self._pivots.insert(pos, j)
-                return
-            a, b = self._rows[i][j], v[j]
-            if b % a == 0:
-                q = b // a
-                row = self._rows[i]
-                v = [c - q * r for c, r in zip(v, row)]
-            else:
-                g, x, y = _xgcd(a, b)
-                row = self._rows[i]
-                merged = [x * r + y * c for r, c in zip(row, v)]
-                v = [(a // g) * c - (b // g) * r for r, c in zip(row, v)]
-                self._rows[i] = merged
+        return vector
 
     def contains(self, vector: Sequence[int]) -> bool:
-        """Exact membership: reduce against the echelon rows; in the lattice
-        iff every pivot divides cleanly and the residue is zero."""
+        """Exact membership: every derived congruence holds on the vector."""
         v = self._check(vector)
-        for row, p in zip(self._rows, self._pivots):
-            if v[p] == 0:
-                continue
-            q, r = divmod(v[p], row[p])
-            if r:
+        for f, m in self._congruences:
+            s = sum(v[j] * c for j, c in f)
+            if (s % m if m else s):
                 return False
-            v = [c - q * rc for c, rc in zip(v, row)]
-        return not any(v)
-
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        """Hermite normal form of the row span: pivots positive, entries
-        above each pivot reduced into [0, pivot)."""
-        rows = [list(r) for r in self._rows]
-        for i in range(len(rows)):
-            p = self._pivots[i]
-            for k in range(i):
-                q = rows[k][p] // rows[i][p]
-                if q:
-                    rows[k] = [a - q * b for a, b in zip(rows[k], rows[i])]
-        return tuple(tuple(r) for r in rows)
-
-
-def _first_nonzero(v: list[int]) -> int | None:
-    for j, c in enumerate(v):
-        if c:
-            return j
-    return None
-
-
-def _index_of(pivots: list[int], j: int) -> int | None:
-    # pivots is short and sorted; linear scan is fine
-    for i, p in enumerate(pivots):
-        if p == j:
-            return i
-        if p > j:
-            return None
-    return None
+        return True

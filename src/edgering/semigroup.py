@@ -62,7 +62,7 @@ def generators(G: Graph) -> tuple:
 @per_graph
 def edge_lattice(G: Graph) -> IntegerLattice:
     """The integer lattice spanned by the edge generators."""
-    return IntegerLattice.from_vectors(G.dimension, generators(G))
+    return IntegerLattice(G.dimension, generators(G))
 
 
 def lattice_member(G: Graph, x: Sequence[int]) -> bool:

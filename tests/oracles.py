@@ -3,17 +3,20 @@
 Everything here recomputes a quantity by a different route than the
 library: Floyd-Warshall distances, delete-and-count cutpoints, subset
 enumeration for cycles, blocks and fundamental sets, multiset enumeration for
-semigroup membership, LP feasibility for cone membership, and the
-classical closed form for the edge lattice. Slow is fine; independent is
-the point.
+semigroup membership, LP feasibility for cone membership, the classical
+closed form for the edge lattice, and echelon row reduction for any integer
+lattice. Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+
+from edgering.errors import DimensionMismatchError
 
 
 # ---------------------------------------------------------------- graphs
@@ -351,3 +354,108 @@ def oracle_lattice_member(G, x) -> bool:
     part0 = sum(a for v, a in zip(G.vertices, x) if color[v] == 0)
     part1 = sum(a for v, a in zip(G.vertices, x) if color[v] == 1)
     return part0 == part1
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = a*x + b*y, g >= 0 for (a, b) != (0, 0)."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+class EchelonLattice:
+    """Reference lattice: absorbs generators one at a time into echelon rows
+    by xgcd row reduction, and tests membership by reducing against them."""
+
+    def __init__(self, dimension: int):
+        if dimension < 0:
+            raise DimensionMismatchError("dimension must be nonnegative")
+        self.dimension = dimension
+        self._rows: list[list[int]] = []  # echelon; _pivots[i] = pivot col of row i
+        self._pivots: list[int] = []
+
+    @classmethod
+    def from_vectors(cls, dimension: int, vectors: Iterable[Sequence[int]]) -> "EchelonLattice":
+        lat = cls(dimension)
+        for v in vectors:
+            lat.add(v)
+        return lat
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _check(self, vector: Sequence[int]) -> list[int]:
+        v = [int(c) for c in vector]
+        if len(v) != self.dimension:
+            raise DimensionMismatchError(
+                f"vector length {len(v)} != lattice dimension {self.dimension}"
+            )
+        return v
+
+    def add(self, vector: Sequence[int]) -> None:
+        """Absorb a vector; no-op if it is already in the lattice."""
+        v = self._check(vector)
+        while True:
+            j = _first_nonzero(v)
+            if j is None:
+                return
+            i = _index_of(self._pivots, j)
+            if i is None:
+                if v[j] < 0:
+                    v = [-c for c in v]
+                pos = 0
+                while pos < len(self._pivots) and self._pivots[pos] < j:
+                    pos += 1
+                self._rows.insert(pos, v)
+                self._pivots.insert(pos, j)
+                return
+            a, b = self._rows[i][j], v[j]
+            if b % a == 0:
+                q = b // a
+                row = self._rows[i]
+                v = [c - q * r for c, r in zip(v, row)]
+            else:
+                g, x, y = _xgcd(a, b)
+                row = self._rows[i]
+                merged = [x * r + y * c for r, c in zip(row, v)]
+                v = [(a // g) * c - (b // g) * r for r, c in zip(row, v)]
+                self._rows[i] = merged
+
+    def contains(self, vector: Sequence[int]) -> bool:
+        """Exact membership: reduce against the echelon rows; in the lattice
+        iff every pivot divides cleanly and the residue is zero."""
+        v = self._check(vector)
+        for row, p in zip(self._rows, self._pivots):
+            if v[p] == 0:
+                continue
+            q, r = divmod(v[p], row[p])
+            if r:
+                return False
+            v = [c - q * rc for c, rc in zip(v, row)]
+        return not any(v)
+
+
+def _first_nonzero(v: list[int]) -> int | None:
+    for j, c in enumerate(v):
+        if c:
+            return j
+    return None
+
+
+def _index_of(pivots: list[int], j: int) -> int | None:
+    # pivots is short and sorted; linear scan is fine
+    for i, p in enumerate(pivots):
+        if p == j:
+            return i
+        if p > j:
+            return None
+    return None

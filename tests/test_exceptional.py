@@ -17,7 +17,6 @@ from edgering import (
     lemma_pair_sum,
     member,
     minimal_odd_cycles,
-    odd_cycle_condition,
     pair_vector,
 )
 from edgering.exceptional import (
@@ -58,7 +57,7 @@ def test_is_exceptional_bridge(cac3):
     c1 = cycles[frozenset({"x1", "y1_1", "y1_2"})]
     c2 = cycles[frozenset({"x2", "y2_1", "y2_2"})]
     assert not is_exceptional(cac3, c1, c2)
-    assert odd_cycle_condition(cac3) and is_normal(cac3)
+    assert is_normal(cac3)
 
 
 def test_is_exceptional_positive(t1min):
@@ -89,7 +88,7 @@ def test_normality_equals_empty_holes(all_fixture_graphs):
     for name, G in all_fixture_graphs.items():
         if name in ("cact4a", "cact4b"):
             continue  # degree-12 enumeration at d >= 15 is out of test budget
-        assert odd_cycle_condition(G) == (holes(G, 12) == frozenset()), name
+        assert is_normal(G) == (holes(G, 12) == frozenset()), name
 
 
 def test_class_gate(friend3, triangle):
