@@ -132,10 +132,8 @@ def _independent_sets(G: Graph, start: int, chosen: frozenset, blocked: frozense
 @per_graph
 def supporting_hyperplanes(G: Graph) -> tuple:
     """One hyperplane per regular vertex followed by one per fundamental
-    set; identical coefficient vectors merge with provenances retained."""
-    require_connected(G)
-    if not has_odd_cycle(G):
-        raise BipartiteGraphError("the hyperplane description needs an odd cycle")
+    set; identical coefficient vectors merge with provenances retained.
+    regular_vertices, called first, refuses disconnected and bipartite G."""
     d = G.dimension
     out: list[Hyperplane] = []
     by_coeffs: dict[tuple, int] = {}
@@ -168,15 +166,15 @@ def cone_contains(G: Graph, x: Sequence[int]) -> bool:
     return all(h.value(x) >= 0 for h in supporting_hyperplanes(G))
 
 
+@per_graph
 def face_of(G: Graph, H: Hyperplane) -> FaceData:
     """The edges whose generators H vanishes on, with the lattice those
     generators span; its rank is the dimension of the face H supports."""
-    from .semigroup import rho_vector
+    from .semigroup import generators
 
     edges = []
     vectors = []
-    for u, v in G.edges:
-        g = rho_vector(G, u, v)
+    for (u, v), g in zip(G.edges, generators(G)):
         if H.value(g) == 0:
             edges.append((u, v))
             vectors.append(g)

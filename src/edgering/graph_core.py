@@ -11,7 +11,7 @@ triangles, spoke vertices "x1".."x{2n}", and optional pendant triangles
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Hashable, Iterable, Sequence
 
@@ -170,11 +170,10 @@ class Cycle:
 
     Canonical means: rotated so the smallest-index vertex comes first and
     oriented toward its smaller-index neighbor, so rotations and reflections
-    compare equal. `minimal` marks chordless cycles.
+    compare equal.
     """
 
     vertices: tuple
-    minimal: bool = field(default=False, compare=False)
 
     @property
     def length(self) -> int:
@@ -208,7 +207,7 @@ def minimal_odd_cycles(G: Graph) -> tuple[Cycle, ...]:
                 if s not in adj[v]:
                     stack.append(path + (v,))
                 elif len(path) % 2 == 0 and ix[path[1]] < ix[v]:
-                    found.append(Cycle(path + (v,), minimal=True))
+                    found.append(Cycle(path + (v,)))
     found.sort(key=lambda c: (c.length, tuple(G.index(v) for v in c.vertices)))
     return tuple(found)
 

@@ -1,5 +1,6 @@
-"""The edge semigroup of a graph: generators, membership, lattice, and
-degree-truncated enumeration of the semigroup, its normalization, and holes.
+"""The edge semigroup of a graph: generators, lattice, the point oracle
+`member`/`decompose`, and degree-truncated enumeration of the semigroup S,
+its normalization N, and the holes N - S (a set difference, no oracle).
 
 Vectors are plain tuples of ints indexed by the graph's vertex order. The
 semigroup is generated by one degree-2 vector per edge (the sum of the two
@@ -161,7 +162,7 @@ def enumerate_normalization(G: Graph, D: int) -> frozenset:
 @per_graph
 def holes(G: Graph, D: int) -> frozenset:
     """Normalization elements of degree <= D that are not in the semigroup."""
-    return frozenset(x for x in enumerate_normalization(G, D) if not member(G, x))
+    return enumerate_normalization(G, D) - enumerate_semigroup(G, D)
 
 
 def hole_report(G: Graph, D: int) -> list[tuple]:

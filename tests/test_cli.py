@@ -14,6 +14,7 @@ from edgering import (
     format_graph_text,
     load_graph,
     s2_verdict,
+    semigroup,
 )
 from edgering.cli import main
 from edgering.fixtures import load
@@ -95,6 +96,15 @@ def test_analyze_t1min(t1min_file, tmp_path, capsys):
     assert report["s2"]["normal"] is False and report["s2"]["s2"] is True
     assert report["decomposition"]["passed"] is True
     assert [f["dimension"] for f in report["decomposition"]["families"]] == [8]
+
+
+def test_analyze_never_calls_the_member_oracle(t1min_file, capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("analyze ran the member oracle")
+
+    monkeypatch.setattr(semigroup, "_decompose", fail)
+    assert main(["analyze", str(t1min_file), "--degree", "8"]) == 0
+    assert "s2=true" in capsys.readouterr().out
 
 
 def test_analyze_verdict_equals_library(t1min_file, tmp_path, capsys):

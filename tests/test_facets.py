@@ -12,6 +12,7 @@ from edgering import (
     cone_contains,
     face_of,
     fundamental_sets,
+    hole_decomposition,
     regular_vertices,
     supporting_hyperplanes,
 )
@@ -37,12 +38,14 @@ def test_regular_vertices_frozen_values(bowtie, t1min, t2min, triangle):
 
 
 def test_regular_vertices_gates():
-    square = build_from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-    with pytest.raises(BipartiteGraphError):
-        regular_vertices(square)
-    two_parts = Graph(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
-    with pytest.raises(DisconnectedError):
-        regular_vertices(two_parts)
+    # supporting_hyperplanes relies on regular_vertices for both gates
+    for fn in (regular_vertices, supporting_hyperplanes):
+        square = build_from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        with pytest.raises(BipartiteGraphError):
+            fn(square)
+        two_parts = Graph(("a", "b", "c", "d"), (("a", "b"), ("c", "d")))
+        with pytest.raises(DisconnectedError):
+            fn(two_parts)
 
 
 # ------------------------------------------------------- fundamental sets
@@ -159,3 +162,12 @@ def test_triangle_faces(triangle):
         face = face_of(triangle, h)
         assert len(face.edges) == 2
         assert face.dimension == 2
+
+
+def test_face_built_once_per_facet(cact4b):
+    h = supporting_hyperplanes(cact4b)[0]
+    assert face_of(cact4b, h) is face_of(cact4b, h)
+    families = hole_decomposition(cact4b)
+    assert len(families) == 99
+    assert len({hf.facet for hf in families}) == 67
+    assert len({id(hf.face) for hf in families}) == 67

@@ -31,8 +31,10 @@ from edgering import (
     q_vector,
     regular_vertices,
     s2_verdict,
+    semigroup,
     verify_decomposition,
 )
+from edgering.fixtures import load
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -332,6 +334,12 @@ def test_hole_decomposition_built_once(t1min):
     assert hole_decomposition(t1min, 8) is families
     verify_decomposition(t1min, 8)
     assert hole_decomposition(t1min) is families
+
+
+def test_verdict_leaves_the_member_memo_empty():
+    G = load("t1min")
+    assert s2_verdict(G, 8)["s2"] is True
+    assert semigroup._memo(G) == {}
 
 
 def test_results_are_freed_with_the_graph(t1min):

@@ -87,6 +87,16 @@ def test_member_stays_definitional_on_holes(t1min):
         assert oracles.oracle_member(t1min, x) is False
 
 
+@pytest.mark.parametrize("name, D", [("t1min", 10), ("t2min", 10),
+                                     ("cac3", 12), ("friend3", 12)])
+def test_holes_match_member_scan(request, name, D):
+    # N_D - S_D against the definitional oracle, in both directions
+    G = request.getfixturevalue(name)
+    hole_set = holes(G, D)
+    for x in enumerate_normalization(G, D):
+        assert member(G, x) is (x not in hole_set), x
+
+
 def test_decompose_witness_sums_to_input(bowtie, t1min):
     for G in (bowtie, t1min):
         for x in enumerate_semigroup(G, 8):
