@@ -71,10 +71,15 @@ def parse_graph_json(text: str) -> Graph:
     data = _load_json(text)
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ParseError("graph JSON needs 'vertices' and 'edges' keys")
-    edges = data["edges"]
-    if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
+    vertices, edges = data["vertices"], data["edges"]
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise ParseError("graph JSON 'vertices' and 'edges' must be arrays")
+    if not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise ParseError("each edge must be a two-element array")
-    return _build(data["vertices"], [tuple(e) for e in edges])
+    labels = vertices + [end for e in edges for end in e]
+    if any(isinstance(v, (list, dict)) for v in labels):
+        raise ParseError("vertex labels must be JSON scalars, not arrays or objects")
+    return _build(vertices, [tuple(e) for e in edges])
 
 
 def format_graph_json(G: Graph) -> str:

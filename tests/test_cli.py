@@ -145,6 +145,21 @@ def test_analyze_corrupt_file(tmp_path, capsys):
     assert "ParseError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    {"vertices": ["a", "b"], "edges": 5},
+    {"vertices": 5, "edges": []},
+    {"vertices": [["a"]], "edges": []},
+], ids=["edges-not-array", "vertices-not-array", "list-label"])
+def test_analyze_malformed_json_graph(tmp_path, capsys, payload):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(payload))
+    assert main(["analyze", str(graph)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("edgering: ParseError: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_analyze_missing_file(capsys):
     assert main(["analyze", "/nonexistent/g.graph"]) == 2
 

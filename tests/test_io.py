@@ -68,6 +68,16 @@ def test_parse_text_reports_line_numbers():
     assert "line 4" in str(err.value)
 
 
+# well-formed JSON of the wrong shape
+MALFORMED_GRAPH_JSON = [
+    {"vertices": ["a", "b"], "edges": 5},
+    {"vertices": 5, "edges": []},
+    {"vertices": [["a"]], "edges": []},
+    {"vertices": ["a", "b"], "edges": [[["a"], "b"]]},
+    {"vertices": {"a": 1}, "edges": []},
+]
+
+
 def test_parse_json_errors():
     with pytest.raises(ParseError):
         parse_graph_json("not json")
@@ -75,6 +85,9 @@ def test_parse_json_errors():
         parse_graph_json(json.dumps({"vertices": ["a"]}))  # missing edges
     with pytest.raises(ParseError):
         parse_graph_json(json.dumps({"vertices": ["a", "a"], "edges": []}))
+    for bad in MALFORMED_GRAPH_JSON:
+        with pytest.raises(ParseError):
+            parse_graph_json(json.dumps(bad))
 
 
 def test_spec_json_round_trip():

@@ -6,21 +6,32 @@ import pytest
 
 import oracles
 from edgering import (
+    EdgeRingError,
     MethodMismatchError,
     NotAnEdgeError,
+    acceptance,
+    build_from_edges,
     decompose,
     enumerate_normalization,
     enumerate_semigroup,
+    exceptional_pairs,
     hole_report,
     holes,
     lattice_member,
     member,
+    pair_vector,
     rho_vector,
     unit_vector,
     vector_degree,
 )
-from edgering.fixtures import load
-from edgering.semigroup import _enumerate_by_inequalities, graded_sorted
+from edgering import semigroup
+from edgering.fixtures import build, load
+from edgering.semigroup import _enumerate_by_inequalities, _pack, _unpack, graded_sorted
+
+# the wheel on a 5-cycle rim: not a cactus, and at degree 5 method A's walk
+# meets every kind of interval bound and the parity step of its last column
+W5 = build_from_edges([("c", f"r{i}") for i in range(5)]
+                      + [(f"r{i}", f"r{(i + 1) % 5}") for i in range(5)])
 
 
 def bounded_vectors(d, D):
@@ -155,7 +166,8 @@ def test_enumerate_semigroup_matches_combination_oracle(triangle, bowtie):
 def test_enumerate_normalization_reconstructed_from_oracles(triangle, bowtie):
     """cone ∩ lattice ∩ degree bound, rebuilt entirely from the LP oracle
     and the closed-form lattice oracle over the full bounded box."""
-    for G, D in ((triangle, 6), (bowtie, 4)):
+    for G, D in ((triangle, 6), (triangle, 7), (bowtie, 4), (bowtie, 5),
+                 (W5, 5), (W5, 6)):
         want = {
             x
             for x in bounded_vectors(G.dimension, D)
@@ -163,6 +175,21 @@ def test_enumerate_normalization_reconstructed_from_oracles(triangle, bowtie):
             and oracles.oracle_cone_contains(G, x)
         }
         assert enumerate_normalization(G, D) == frozenset(want)
+        if D % 2:
+            # every lattice point has even degree
+            assert enumerate_normalization(G, D) == enumerate_normalization(G, D - 1)
+
+
+def test_pair_of_a_triangle_and_a_pentagon():
+    # an exceptional pair of degree 8: method B steps by four degree slabs
+    G = build_from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "m"), ("m", "p"),
+                          ("p", "q"), ("q", "r"), ("r", "s"), ("s", "t"), ("t", "p")])
+    (P,) = exceptional_pairs(G)
+    assert holes(G, 8) == frozenset({pair_vector(G, P)}) == holes(G, 9)
+    hole_set = holes(G, 10)
+    assert len(hole_set) == 9
+    for x in enumerate_normalization(G, 10):
+        assert member(G, x) is (x not in hole_set), x
 
 
 def test_truncation_monotone(t1min):
@@ -219,6 +246,45 @@ def test_hole_report_rows(t1min):
     for degree, vector, in_cone, in_lattice, is_member in rows:
         assert degree == sum(vector)
         assert in_cone and in_lattice and not is_member
+
+
+def test_packed_lanes_hold_coordinates_up_to_255():
+    x = (255, 0, 1, 255)
+    assert _pack(x) == 255 + (1 << 16) + (255 << 24)
+    assert _unpack(_pack(x), 4) == x
+    assert _unpack(_pack((0, 0, 0)), 3) == (0, 0, 0)
+    for bad in ((256, 0), (0, 256), (0, -1)):
+        with pytest.raises(EdgeRingError, match="0..255"):
+            _pack(bad)
+
+
+def test_degree_above_the_lane_limit_is_refused(triangle):
+    for enumerate_ in (enumerate_semigroup, enumerate_normalization, holes):
+        with pytest.raises(EdgeRingError, match="above 255"):
+            enumerate_(triangle, 256)
+
+
+@pytest.mark.parametrize("dropped_by", ["_enumerate_by_inequalities", "_enumerate_by_closure"])
+def test_method_mismatch_reports_tuple_vectors(monkeypatch, dropped_by):
+    # one method loses the degree-6 hole; the error names it as a vector
+    q = pair_vector(load("t1min"), exceptional_pairs(load("t1min"))[0])
+    method = getattr(semigroup, dropped_by)
+    monkeypatch.setattr(semigroup, dropped_by,
+                        lambda G, D: method(G, D) - {_pack(q)})
+    with pytest.raises(MethodMismatchError) as err:
+        enumerate_normalization(build("t1min"), 8)
+    only_a, only_b = frozenset({q}), frozenset()
+    if dropped_by == "_enumerate_by_inequalities":
+        only_a, only_b = only_b, only_a
+    assert err.value.only_first == only_a
+    assert err.value.only_second == only_b
+
+    monkeypatch.setattr(acceptance, "SMALL_FIXTURES", ("t1min",))
+    passed, details = acceptance.criterion_cross_check(build)
+    assert passed is False
+    assert details == {"t1min": {"agree": False,
+                                 "only_inequality_method": len(only_a),
+                                 "only_closure_method": len(only_b)}}
 
 
 def test_method_mismatch_error_payload():
