@@ -28,6 +28,7 @@ from .graph_core import (
     Graph,
     diameter,
     hub_vertex,
+    indicator,
     is_triangular_cactus,
     minimal_odd_cycles,
     neighbors_of_set,
@@ -56,8 +57,7 @@ class ExceptionalPair:
 
 def cycle_vector(G: Graph, cycle: Cycle) -> tuple:
     """Indicator vector of the cycle's vertex set; degree = cycle length."""
-    on = {G.index(v) for v in cycle.vertices}
-    return tuple(1 if i in on else 0 for i in range(G.dimension))
+    return indicator(G, cycle.vertices)
 
 
 def pair_vector(G: Graph, pair: ExceptionalPair) -> tuple:

@@ -20,6 +20,7 @@ from .graph_core import (
     check_vector,
     components,
     has_odd_cycle,
+    indicator,
     neighbors_of_set,
     per_graph,
     require_connected,
@@ -132,31 +133,17 @@ def _independent_sets(G: Graph, start: int, chosen: frozenset, blocked: frozense
 @per_graph
 def supporting_hyperplanes(G: Graph) -> tuple:
     """One hyperplane per regular vertex followed by one per fundamental
-    set; identical coefficient vectors merge with provenances retained.
-    regular_vertices, called first, refuses disconnected and bipartite G."""
-    d = G.dimension
-    out: list[Hyperplane] = []
-    by_coeffs: dict[tuple, int] = {}
-    for v in regular_vertices(G):
-        i = G.index(v)
-        coeffs = tuple(1 if j == i else 0 for j in range(d))
-        by_coeffs[coeffs] = len(out)
-        out.append(Hyperplane(coeffs, "regular", vertex=v))
+    set. No two coincide: a fundamental set T is independent, so its
+    coefficients are -1 exactly on T, and regular ones have no -1; `sets`
+    is therefore the one-element provenance (T,) of a fundamental
+    hyperplane. regular_vertices, called first, refuses disconnected and
+    bipartite G."""
+    out = [Hyperplane(indicator(G, (v,)), "regular", vertex=v)
+           for v in regular_vertices(G)]
     for F in fundamental_sets(G):
-        coeffs = [0] * d
-        for v in F.vertices:
-            coeffs[G.index(v)] = -1
-        for v in F.neighborhood:
-            coeffs[G.index(v)] = 1
-        coeffs = tuple(coeffs)
-        at = by_coeffs.get(coeffs)
-        if at is None:
-            by_coeffs[coeffs] = len(out)
-            out.append(Hyperplane(coeffs, "fundamental", sets=(F,)))
-        else:
-            prior = out[at]
-            out[at] = Hyperplane(coeffs, prior.kind, vertex=prior.vertex,
-                                 sets=prior.sets + (F,))
+        coeffs = tuple(n - t for n, t in zip(indicator(G, F.neighborhood),
+                                             indicator(G, F.vertices)))
+        out.append(Hyperplane(coeffs, "fundamental", sets=(F,)))
     return tuple(out)
 
 

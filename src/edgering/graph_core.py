@@ -146,6 +146,12 @@ def check_vector(G: Graph, x: Sequence[int]) -> tuple:
     return x
 
 
+def indicator(G: Graph, vertices: Iterable[Vertex]) -> tuple:
+    """The 0/1 vector of a vertex set in G's vertex order."""
+    on = {G.index(v) for v in vertices}
+    return tuple(1 if i in on else 0 for i in range(G.dimension))
+
+
 def build_from_edges(edge_list: Iterable, vertices: Iterable[Vertex] = None) -> Graph:
     """Construct a Graph from an edge list; vertices default to first
     appearance order over the edges."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
-import weakref
 from dataclasses import dataclass
 
 from . import facets as facets_mod
@@ -26,6 +25,7 @@ from .errors import (
     EdgeRingError,
     EmptySetError,
     NotDiameterFourCactusError,
+    PreconditionViolatedError,
 )
 from .exceptional import (
     ExceptionalPair,
@@ -181,62 +181,65 @@ def admissible_fundamental_sets(G: Graph, family: ExceptionalFamily) -> tuple:
     return tuple(out)
 
 
+@dataclass(frozen=True, eq=False)
 class HoleFamily:
     """One predicted family of holes: shift + facet lattice, within the cone.
 
-    `points(D)` keeps the points x of the degree-truncated normalization
-    whose difference x - shift lies in the facet's lattice, so
-    family points and holes share one enumeration and one representation.
+    Plain data that refers to no graph: `points(G, D)` and `as_json(G, D)`
+    take the graph the family was built for, as `Hyperplane.as_json(G)`
+    does, and refuse any other. Equality is identity, so each family keys
+    its own points in the graph's cache.
     """
 
-    def __init__(self, G: Graph, shift: tuple, facet: facets_mod.Hyperplane,
-                 source: str, family: ExceptionalFamily):
-        # weak, because G caches its families: a strong reference would form
-        # a cycle that keeps G alive until the cycle collector runs
-        self._graph = weakref.ref(G)
-        self.shift = shift
-        self.facet = facet
-        self.source = source  # "hub" | "fundamental"
-        self.family = family
-        self.face = facets_mod.face_of(G, facet)
-        self.dimension = self.face.dimension
-        self._points: dict[int, frozenset] = {}
+    shift: tuple
+    facet: facets_mod.Hyperplane
+    source: str  # "hub" | "fundamental"
+    family: ExceptionalFamily
+    face: facets_mod.FaceData
 
     @property
-    def graph(self) -> Graph:
-        G = self._graph()
-        if G is None:
-            raise ReferenceError("the graph of this hole family no longer exists")
-        return G
+    def dimension(self) -> int:
+        return self.face.dimension
 
-    def points(self, D: int) -> frozenset:
-        if D not in self._points:
-            q = self.shift
-            self._points[D] = frozenset(
-                x
-                for x in enumerate_normalization(self.graph, D)
-                if self.face.lattice.contains([a - b for a, b in zip(x, q)])
-            )
-        return self._points[D]
+    def points(self, G: Graph, D: int) -> frozenset:
+        """The points x of the degree-D normalization whose difference
+        x - shift lies in the facet's lattice, cached on G, so family points
+        and holes share one enumeration and one representation."""
+        self._require_built_for(G)
+        return _family_points(G, self, D)
 
-    def as_json(self, D: int | None = None) -> dict:
+    def as_json(self, G: Graph, D: int | None = None) -> dict:
+        self._require_built_for(G)
         out = {
             "shift": list(self.shift),
             "shift_degree": vector_degree(self.shift),
-            "facet": self.facet.as_json(self.graph),
+            "facet": self.facet.as_json(G),
             "dimension": self.dimension,
             "source": self.source,
             "pairs": self.family.as_json(),
         }
         if D is not None:
-            out["points_by_degree"] = count_by_degree(self.points(D))
+            out["points_by_degree"] = count_by_degree(self.points(G, D))
         return out
+
+    def _require_built_for(self, G: Graph) -> None:
+        if classify(G).tag == NOT_DIAM4 or not any(hf is self for hf in _families(G)):
+            raise PreconditionViolatedError("this hole family was built for another graph")
 
     def __repr__(self) -> str:
         return (
             f"HoleFamily(shift degree {vector_degree(self.shift)}, "
             f"{self.source} facet, dimension {self.dimension})"
         )
+
+
+@per_graph
+def _family_points(G: Graph, hf: HoleFamily, D: int) -> frozenset:
+    return frozenset(
+        x
+        for x in enumerate_normalization(G, D)
+        if hf.face.lattice.contains([a - b for a, b in zip(x, hf.shift)])
+    )
 
 
 def hole_decomposition(G: Graph, D: int | None = None) -> tuple:
@@ -247,7 +250,7 @@ def hole_decomposition(G: Graph, D: int | None = None) -> tuple:
     families = _families(G)
     if D is not None:
         for hf in families:
-            hf.points(D)
+            hf.points(G, D)
     return families
 
 
@@ -262,10 +265,11 @@ def _families(G: Graph) -> tuple:
     families = []
     for fam in exceptional_families(G):
         q = q_vector(G, fam)
-        for F in admissible_fundamental_sets(G, fam):
-            families.append(HoleFamily(G, q, by_set[F], "fundamental", fam))
+        sources = [(by_set[F], "fundamental") for F in admissible_fundamental_sets(G, fam)]
         if hub_hyp is not None:
-            families.append(HoleFamily(G, q, hub_hyp, "hub", fam))
+            sources.append((hub_hyp, "hub"))
+        families += [HoleFamily(q, h, source, fam, facets_mod.face_of(G, h))
+                     for h, source in sources]
     return tuple(families)
 
 
@@ -275,7 +279,7 @@ def verify_decomposition(G: Graph, D: int) -> dict:
     raises DecompositionMismatchError when the sets differ."""
     families = hole_decomposition(G)
     hole_set = holes(G, D)
-    union = frozenset().union(*(hf.points(D) for hf in families))
+    union = frozenset().union(*(hf.points(G, D) for hf in families))
     missed = graded_sorted(hole_set - union)
     extra = graded_sorted(union - hole_set)
     report = {
@@ -283,7 +287,7 @@ def verify_decomposition(G: Graph, D: int) -> dict:
         "degree": D,
         "type": classify(G).as_json(),
         "exceptional_pairs": [P.as_json() for P in exceptional_pairs(G)],
-        "families": [hf.as_json(D) for hf in families],
+        "families": [hf.as_json(G, D) for hf in families],
         "family_dimensions": [hf.dimension for hf in families],
         "hole_count_by_degree": count_by_degree(hole_set),
         "family_point_total": len(union),
@@ -381,10 +385,9 @@ def _ladder_consistent(G: Graph, ladder) -> bool:
     """Smaller-degree results must be exactly the degree slices of larger
     ones, for both holes and family points."""
     top = ladder[-1]
-    slices = [lambda Dk: holes(G, Dk)] + [hf.points for hf in hole_decomposition(G)]
-    for points in slices:
-        top_points = points(top)
+    for points in [holes] + [hf.points for hf in hole_decomposition(G)]:
+        top_points = points(G, top)
         for Dk in ladder[:-1]:
-            if points(Dk) != frozenset(x for x in top_points if sum(x) <= Dk):
+            if points(G, Dk) != frozenset(x for x in top_points if sum(x) <= Dk):
                 return False
     return True

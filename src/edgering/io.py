@@ -98,11 +98,9 @@ def parse_cactus_spec_json(text: str) -> CactusSpec:
     s = data.get("s", data.get("pendants"))
     if n is None or s is None:
         raise ParseError("cactus description needs keys 'n' and 's'")
-    try:
-        n = int(n)
-        s = [int(c) for c in s]
-    except (TypeError, ValueError):
-        raise ParseError("'n' must be an integer and 's' a list of integers") from None
+    # exact type tests: JSON true/false decode to bool, a subclass of int
+    if type(n) is not int or type(s) is not list or any(type(c) is not int for c in s):
+        raise ParseError("'n' must be an integer and 's' a list of integers")
     try:
         return CactusSpec(n, tuple(s))
     except EdgeRingError:

@@ -19,19 +19,16 @@ from typing import Iterable, Sequence
 
 from . import facets
 from .errors import EdgeRingError, MethodMismatchError
-from .graph_core import Graph, check_vector, per_graph
+from .graph_core import Graph, check_vector, indicator, per_graph
 from .lattices import IntegerLattice
 
 def unit_vector(G: Graph, v) -> tuple:
-    i = G.index(v)
-    return tuple(1 if j == i else 0 for j in range(G.dimension))
+    return indicator(G, (v,))
 
 
 def rho_vector(G: Graph, u, v) -> tuple:
     """Generator for edge {u, v}: unit(u) + unit(v). NotAnEdgeError if absent."""
-    a, b = G.edge(u, v)
-    i, j = G.index(a), G.index(b)
-    return tuple(1 if k in (i, j) else 0 for k in range(G.dimension))
+    return indicator(G, G.edge(u, v))
 
 
 def vector_degree(x: Sequence[int]) -> int:

@@ -70,6 +70,17 @@ def test_gen_from_spec_file(tmp_path, capsys):
     assert load_graph(out) == load("t2min")
 
 
+def test_gen_mistyped_spec_file_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 2.7, "s": [1, 0, 1, 0]}))
+    out = tmp_path / "g.graph"
+    assert main(["gen", "--spec", str(spec), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_gen_json_format_round_trips(tmp_path, capsys):
     out = tmp_path / "g.json"
     code = main(["gen", "--n", "2", "--s", "1,0,1,0", "-o", str(out),

@@ -102,6 +102,7 @@ def test_hyperplane_dedup_keeps_all_provenance(small_fixture_graphs):
         assert len({h.coefficients for h in hyps}) == len(hyps), name
         total_sets = sum(len(h.sets) for h in hyps if h.kind == "fundamental")
         assert total_sets == len(fundamental_sets(G)), name
+        assert all(len(h.sets) == 1 for h in hyps if h.kind == "fundamental"), name
 
 
 # ------------------------------------------------------- cone membership

@@ -16,6 +16,7 @@ from edgering import (
     ExceptionalFamily,
     Graph,
     NotDiameterFourCactusError,
+    PreconditionViolatedError,
     admissible_fundamental_sets,
     build_from_edges,
     build_triangular_cactus,
@@ -195,8 +196,8 @@ def test_hole_decomposition_t1min(t1min):
     assert hf.facet.kind == "regular" and hf.facet.vertex == "w"
     assert hf.dimension == 8
     q = hf.shift
-    assert q in hf.points(8)
-    assert hf.points(8)
+    assert q in hf.points(t1min, 8)
+    assert hf.points(t1min, 8)
 
 
 def test_hole_decomposition_t2min(t2min):
@@ -226,9 +227,9 @@ def test_family_points_are_holes(t1min, t2min):
     for G in (t1min, t2min):
         hole_set = holes(G, 10)
         for hf in hole_decomposition(G):
-            pts = hf.points(10)
+            pts = hf.points(G, 10)
             assert pts <= hole_set
-            assert hf.points(8) == frozenset(
+            assert hf.points(G, 8) == frozenset(
                 x for x in pts if sum(x) <= 8
             )
 
@@ -357,10 +358,21 @@ def test_results_are_freed_with_the_graph(t1min):
     ]
 
 
-def test_family_outliving_its_graph_says_so():
-    (hf,) = hole_decomposition(build_triangular_cactus(triangles=2, pendants=(1, 0, 1, 0)))
-    with pytest.raises(ReferenceError):
-        hf.as_json()
+def test_family_points_are_cached_on_the_graph(t1min):
+    (hf,) = hole_decomposition(t1min)
+    pts = hf.points(t1min, 8)
+    assert hf.points(t1min, 8) is pts
+
+
+def test_family_refuses_a_graph_it_was_not_built_for(t1min, t2min, bowtie):
+    (hf,) = hole_decomposition(t1min)
+    equal = build_triangular_cactus(triangles=2, pendants=(1, 0, 1, 0))
+    assert equal == t1min and equal is not t1min
+    for other in (equal, t2min, bowtie):
+        with pytest.raises(PreconditionViolatedError):
+            hf.points(other, 8)
+        with pytest.raises(PreconditionViolatedError):
+            hf.as_json(other)
 
 
 def test_golden_evidence(t1min, t2min):

@@ -110,6 +110,23 @@ def test_spec_json_propagates_domain_errors():
         parse_cactus_spec_json(json.dumps({"n": 1}))
 
 
+# JSON types that int() would truncate or reinterpret
+MISTYPED_SPECS = [
+    {"n": 2.7, "s": [1, 0, 1, 0]},
+    {"n": True, "s": [1, 1]},
+    {"n": "2", "s": [1, 0, 1, 0]},
+    {"n": 1, "s": "12"},
+    {"n": 2, "s": [1.9, 0, 1, 0]},
+    {"n": 1, "s": [True, 0]},
+]
+
+
+@pytest.mark.parametrize("bad", MISTYPED_SPECS, ids=json.dumps)
+def test_spec_json_rejects_non_integers(bad):
+    with pytest.raises(ParseError):
+        parse_cactus_spec_json(json.dumps(bad))
+
+
 def test_load_graph_sniffs_format(tmp_path, t1min):
     t = tmp_path / "g.graph"
     t.write_text(format_graph_text(t1min))
