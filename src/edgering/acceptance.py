@@ -252,8 +252,12 @@ def run_all(only=None, fixtures_dir=None) -> list:
     criterion. Unexpected library errors are converted into failing
     reports rather than aborting the run."""
     wanted = None
-    if only:
+    if only is not None:
         wanted = {name.strip() for name in only}
+        if not wanted:
+            raise ValueError(
+                f"no criteria named; available: {', '.join(criterion_names())}"
+            )
         unknown = wanted - set(criterion_names())
         if unknown:
             raise ValueError(

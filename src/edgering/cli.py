@@ -173,7 +173,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify_paper(args) -> int:
     only = None
-    if args.only:
+    if args.only is not None:
         only = [tok for part in args.only for tok in part.split(",") if tok]
     reports = acceptance.run_all(only=only, fixtures_dir=args.fixtures)
     for r in reports:

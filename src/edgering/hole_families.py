@@ -38,9 +38,9 @@ from .exceptional import (
 from .graph_core import Graph, per_graph
 from .semigroup import (
     count_by_degree,
-    enumerate_normalization,
     graded_sorted,
     holes,
+    normalization_slice,
     vector_degree,
 )
 
@@ -235,11 +235,12 @@ class HoleFamily:
 
 @per_graph
 def _family_points(G: Graph, hf: HoleFamily, D: int) -> frozenset:
-    return frozenset(
-        x
-        for x in enumerate_normalization(G, D)
-        if hf.face.lattice.contains([a - b for a, b in zip(x, hf.shift)])
-    )
+    # the face lattice lies in the facet's hyperplane H = 0, so x - shift can
+    # be in it only if H(x) = H(shift): only that slice of N_D is tested
+    shift = hf.shift
+    contains = hf.face.lattice.contains
+    slice_ = normalization_slice(G, D, hf.facet.coefficients, hf.facet.value(shift))
+    return frozenset(x for x in slice_ if contains([a - b for a, b in zip(x, shift)]))
 
 
 def hole_decomposition(G: Graph, D: int | None = None) -> tuple:

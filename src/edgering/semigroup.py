@@ -7,10 +7,15 @@ semigroup is generated by one degree-2 vector per edge (the sum of the two
 endpoint units). Inside the enumerations each vector is packed into one int
 with a byte per coordinate, and only results handed out are unpacked. S_D is
 built once per degree bound as degree slabs. The normalization is enumerated
-two independent ways and cross-checked: (A) a walk over the intervals the
-cone's defining inequalities leave each coordinate, plus a lattice-membership
-test, (B) the slabs of S_D closed under adding the cycle-pair vectors that,
-with the generators, generate the normalization.
+two independent ways and cross-checked: (A) a walk over nonnegative vectors
+that keeps every fundamental hyperplane's value in a 16-bit lane of one int,
+so a step is one addition and the cone's inequalities are read off the
+lanes' sign bits, plus a lattice-membership test; (B) the slabs of S_D closed
+under adding the cycle-pair vectors that, with the generators, generate the
+normalization. `normalization_slice` hands out one facet slice of N_D
+(the points where a {-1, 0, 1} functional takes one value), bucketed from
+masked byte sums of the packed points, so a hole family unpacks and tests
+only the slice its points lie in.
 """
 
 from __future__ import annotations
@@ -176,10 +181,12 @@ def enumerate_normalization(G: Graph, D: int) -> frozenset:
     """All vectors of degree <= D in cone ∩ lattice, computed by two
     independent methods that must agree.
 
-    Method A walks nonnegative integer vectors coordinate by coordinate,
-    keeping each coordinate inside the interval the cone's fundamental-set
-    inequalities leave open (the regular-vertex inequalities hold
-    automatically on nonnegative vectors), then keeps lattice members.
+    Method A walks nonnegative integer vectors coordinate by coordinate with
+    the fundamental hyperplanes' values in lanes of one int, raising each
+    coordinate while no lane shows that the cone's fundamental-set
+    inequalities can no longer be met (the regular-vertex inequalities hold
+    automatically on nonnegative vectors); a leaf must have every
+    hyperplane value nonnegative, even degree and lie in the edge lattice.
     Method B closes the semigroup's degree slabs under adding the
     cycle-pair vectors that, with the generators, generate the
     normalization. Disagreement raises MethodMismatchError: either a bug
@@ -193,6 +200,30 @@ def holes(G: Graph, D: int) -> frozenset:
     """Normalization elements of degree <= D that are not in the semigroup."""
     gap = _normalization(G, D).difference(*_semigroup_slabs(G, D))
     return _unpack_all(gap, G.dimension)
+
+
+def normalization_slice(G: Graph, D: int, coefficients: tuple, value: int) -> list:
+    """The points x of the degree-D normalization with coefficients·x ==
+    value, for coefficients in {-1, 0, 1}; only this slice is unpacked."""
+    d = G.dimension
+    return [_unpack(n, d) for n in _slices(G, D, coefficients).get(value, ())]
+
+
+@per_graph
+def _slices(G: Graph, D: int, coefficients: tuple) -> dict:
+    # the packed N_D bucketed by coefficients·x. Masking the +1 (or -1) bytes
+    # and multiplying by 1 + 256 + ... + 256**(d-1) sums those bytes into
+    # byte d-1; no byte sum exceeds D <= 255, so nothing carries
+    d = G.dimension
+    ones = _pack((1,) * d)
+    plus = _pack([255 * (c > 0) for c in coefficients])
+    minus = _pack([255 * (c < 0) for c in coefficients])
+    top = 8 * (d - 1)
+    buckets: dict[int, list] = {}
+    for n in _normalization(G, D):
+        value = ((n & plus) * ones >> top & 255) - ((n & minus) * ones >> top & 255)
+        buckets.setdefault(value, []).append(n)
+    return buckets
 
 
 def hole_report(G: Graph, D: int) -> list[tuple]:
@@ -232,112 +263,86 @@ def _semigroup_slabs(G: Graph, D: int) -> tuple:
     return tuple(slabs)
 
 
+# Method A holds hyperplane values in lanes of one int: 16 bits per value,
+# biased by 2**15, so a lane's top bit is set iff its value is >= 0. The
+# walk's values stay in [-D, D] with D <= 255, so no lane carries into the
+# next, and adding ints adds every lane at once.
+LANE_BITS = 16
+_LANE_BIAS = 1 << (LANE_BITS - 1)
+
+
+def _lanes(values: Sequence[int]) -> int:
+    """Signed values, value i biased in lane i."""
+    return sum((_LANE_BIAS + v) << LANE_BITS * i for i, v in enumerate(values))
+
+
+def _sign_bits(lanes: Iterable[int]) -> int:
+    """The top bits of the given lanes: set in a packed int iff those
+    lanes hold values >= 0."""
+    return sum(_LANE_BIAS << LANE_BITS * i for i in lanes)
+
+
 def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
     _check_degree(D)
     d = G.dimension
-    contains = edge_lattice(G).contains
     hyps = [
         h.coefficients
         for h in facets.supporting_hyperplanes(G)
         if h.kind == "fundamental"
     ]
-    # With f a hyperplane's value on the prefix before column k and L the
-    # degree still free there, x[k] = v can still reach f >= 0 iff
-    # f + c*v + (L - v if a later column has coefficient +1 else 0) >= 0:
-    #   c = -1, a later +1:  v <= (f + L) // 2   (`halved`)
-    #   c = -1, none later:  v <= f              (`upper`)
-    #   c = +1, none later:  v >= -f             (`lower`)
-    # (c = +1 with a later +1 bounds nothing), so each column walks one
-    # interval. Each hyperplane's bound at its last column is exact, so
-    # f >= 0 holds at every leaf; the leaf checks the hyperplanes the last
-    # column misses all the same.
-    halved, upper, lower, plus, minus = ([] for _ in range(5))
+    n = len(hyps)
+    # Lane h holds f_h, hyperplane h's value on the walked prefix; lane n + h
+    # holds f_h + L, with L the degree still free. Both are >= 0 at every
+    # point of the cone that extends the prefix: f_h + L once h has a +1
+    # coefficient in a later column (the rest of the degree can go there),
+    # f_h itself once it has none. Raising x[k] by one adds c to f_h and
+    # c - 1 to f_h + L, where c = h's coefficient in column k, so
+    #   `keep`:  the lanes that only fall as x[k] grows (f_h + L, and f_h for
+    #            c <= 0); the first value that fails them ends column k,
+    #   `reach`: the lanes that rise (f_h for c = +1 with no later +1); x[k]
+    #            goes on up to them. In the last column `reach` is every f_h,
+    #            so a leaf is checked against every fundamental hyperplane.
+    zero = _lanes([0] * 2 * n)
+    table = []
     for k in range(d):
+        col = [c[k] for c in hyps]
         later = [any(a > 0 for a in c[k + 1:]) for c in hyps]
-        touched = [(h, c[k]) for h, c in enumerate(hyps) if c[k]]
-        halved.append(tuple(h for h, c in touched if c < 0 and later[h]))
-        upper.append(tuple(h for h, c in touched if c < 0 and not later[h]))
-        lower.append(tuple(h for h, c in touched if c > 0 and not later[h]))
-        plus.append(tuple(h for h, c in touched if c > 0))
-        minus.append(tuple(h for h, c in touched if c < 0))
-    last = d - 1
-    untouched = tuple(h for h, c in enumerate(hyps) if not c[last])
-
-    # iterative, so no self-referencing closure is left for the collector;
-    # f: hyperplane values on the prefix, x[k] runs up to top[k] with left[k]
-    # degree free at column k, packed[k]: the prefix as a packed int
-    found: list[int] = []
-    f = [0] * len(hyps)
-    at = f.__getitem__
-    x = [0] * d
-    top = [0] * d
-    left = [D] + [0] * d
-    packed = [0] * (d + 1)
-    k = 0
-    descend = True
-    while k >= 0:
-        if descend:
-            L = left[k]
-            lo = 0
-            hi = L
-            if halved[k]:
-                b = (min(map(at, halved[k])) + L) >> 1
-                if b < hi:
-                    hi = b
-            if upper[k]:
-                b = min(map(at, upper[k]))
-                if b < hi:
-                    hi = b
-            if lower[k]:
-                b = -min(map(at, lower[k]))
-                if b > lo:
-                    lo = b
-            if k == last:
-                if (D - L + lo) & 1:  # odd total degree: no lattice point
-                    lo += 1
-                if lo <= hi and (not untouched or min(map(at, untouched)) >= 0):
-                    base, unit = packed[k], 1 << 8 * k
-                    for v in range(lo, hi + 1, 2):
-                        x[k] = v
-                        if contains(x):
-                            found.append(base + v * unit)
-                k -= 1
-                descend = False
-                continue
-            if lo > hi:
-                k -= 1
-                descend = False
-                continue
-            x[k] = lo
-            top[k] = hi
-            if lo:
-                for h in plus[k]:
-                    f[h] += lo
-                for h in minus[k]:
-                    f[h] -= lo
-            left[k + 1] = L - lo
-            packed[k + 1] = packed[k] + (lo << 8 * k)
-            k += 1
-            continue
-        v = x[k]
-        if v < top[k]:
-            x[k] = v + 1
-            for h in plus[k]:
-                f[h] += 1
-            for h in minus[k]:
-                f[h] -= 1
-            left[k + 1] -= 1
-            packed[k + 1] += 1 << 8 * k
-            k += 1
-            descend = True
+        step = _lanes(col + [c - 1 for c in col]) - zero
+        keep = _sign_bits([h for h in range(n) if col[h] <= 0 and not later[h]]
+                          + [n + h for h in range(n) if later[h]])
+        if k == d - 1:
+            reach = _sign_bits(range(n))
         else:
-            if v:
-                for h in plus[k]:
-                    f[h] -= v
-                for h in minus[k]:
-                    f[h] += v
-            k -= 1
+            reach = _sign_bits([h for h in range(n) if col[h] > 0 and not later[h]])
+        table.append((step, keep, reach, 1 << 8 * k))
+    found: list[int] = []
+    if D >= 0:
+        walk = (table, [0] * d, found, edge_lattice(G).contains, D)
+        _lane_walk(0, _lanes([0] * n + [D] * n), D, 0, walk)
     return frozenset(found)
+
+
+def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:
+    # column k of method A: x[k] runs from 0 while the `keep` lanes hold;
+    # module level, so no self-referencing closure is left for the collector
+    table, x, found, contains, D = walk
+    step, keep, reach, unit = table[k]
+    last = k == len(table) - 1
+    v = 0
+    while True:
+        if (lanes & reach) == reach:
+            x[k] = v
+            if not last:
+                _lane_walk(k + 1, lanes, left - v, packed, walk)
+            elif not (D - left + v) & 1 and contains(x):  # lattice points have even degree
+                found.append(packed)
+        if v == left:
+            return
+        v += 1
+        lanes += step
+        packed += unit
+        if (lanes & keep) != keep:
+            return
 
 
 def _enumerate_by_closure(G: Graph, D: int) -> frozenset:

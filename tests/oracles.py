@@ -3,9 +3,11 @@
 Everything here recomputes a quantity by a different route than the
 library: Floyd-Warshall distances, delete-and-count cutpoints, subset
 enumeration for cycles, blocks and fundamental sets, multiset enumeration for
-semigroup membership, LP feasibility for cone membership, the classical
-closed form for the edge lattice, and echelon row reduction for any integer
-lattice. Slow is fine; independent is the point.
+semigroup membership, LP feasibility and a bipartite-double-cover flow for
+cone membership, the classical closed form for the edge lattice, echelon row
+reduction for any integer lattice, and full scans of the normalization for
+its truncations and for hole-family points. Slow is fine; independent is the
+point.
 """
 
 from __future__ import annotations
@@ -327,6 +329,89 @@ def oracle_cone_contains(G, x) -> bool:
         method="highs",
     )
     return bool(res.success)
+
+
+def oracle_cone_contains_by_flow(G, x) -> bool:
+    """Max flow: x is in the cone iff the edges carry a fractional perfect
+    x-matching, iff the bipartite double cover (an arc u' -> v'' and
+    v' -> u'' per edge, capacity x on both copies of each vertex) carries a
+    flow of value sum(x). Every edge at v ends at a neighbor, so a vertex
+    heavier than its neighbors together is refused before the flow."""
+    x = tuple(x)
+    if any(a > sum(x[G.index(u)] for u in G.neighbors(v))
+           for v, a in zip(G.vertices, x)):
+        return False
+    d = G.dimension
+    source, sink = 2 * d, 2 * d + 1  # left copy i, right copy d + i
+    cap = {}
+    adj = [[] for _ in range(2 * d + 2)]
+
+    def arc(a, b, c):
+        if (a, b) not in cap:
+            adj[a].append(b)
+            adj[b].append(a)
+            cap[a, b] = 0
+            cap.setdefault((b, a), 0)
+        cap[a, b] += c
+
+    for i, a in enumerate(x):
+        arc(source, i, a)
+        arc(d + i, sink, a)
+    for u, v in G.edges:
+        i, j = G.index(u), G.index(v)
+        arc(i, d + j, sum(x))
+        arc(j, d + i, sum(x))
+    flow = 0
+    while True:
+        prev = {source: None}
+        queue = [source]
+        for a in queue:
+            for b in adj[a]:
+                if b not in prev and cap[a, b] > 0:
+                    prev[b] = a
+                    queue.append(b)
+        if sink not in prev:
+            return flow == sum(x)
+        path = []
+        b = sink
+        while prev[b] is not None:
+            path.append((prev[b], b))
+            b = prev[b]
+        push = min(cap[e] for e in path)
+        for a, b in path:
+            cap[a, b] -= push
+            cap[b, a] += push
+        flow += push
+
+
+def bounded_vectors(d, D):
+    """All nonnegative integer vectors of length d with coordinate sum <= D."""
+    if d == 1:
+        yield from ((a,) for a in range(D + 1))
+        return
+    for first in range(D + 1):
+        for rest in bounded_vectors(d - 1, D - first):
+            yield (first,) + rest
+
+
+def oracle_normalization(G, D) -> frozenset:
+    """cone ∩ lattice ∩ degree <= D over the full bounded box, from the flow
+    cone test and the closed-form lattice."""
+    return frozenset(
+        x for x in bounded_vectors(G.dimension, D)
+        if oracle_lattice_member(G, x) and oracle_cone_contains_by_flow(G, x)
+    )
+
+
+def oracle_family_points(G, hf, D) -> frozenset:
+    """The definitional scan: every x of the degree-D normalization whose
+    difference from the family's shift lies in its face lattice."""
+    from edgering import enumerate_normalization
+
+    return frozenset(
+        x for x in enumerate_normalization(G, D)
+        if hf.face.lattice.contains([a - b for a, b in zip(x, hf.shift)])
+    )
 
 
 def oracle_lattice_member(G, x) -> bool:

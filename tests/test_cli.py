@@ -266,6 +266,16 @@ def test_verify_paper_unknown_criterion(capsys):
     assert "unknown criteria" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("only", [",,", ""])
+def test_verify_paper_only_naming_no_criterion(capsys, only):
+    # an empty selection is an input error, not "run everything"
+    code = main(["verify-paper", "--only", only])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "no criteria named" in err
+
+
 def test_verify_paper_tampered_fixture(tmp_path, capsys):
     tampered = tmp_path / "fixtures"
     tampered.mkdir()

@@ -364,6 +364,21 @@ def test_family_points_are_cached_on_the_graph(t1min):
     assert hf.points(t1min, 8) is pts
 
 
+@pytest.mark.parametrize("name", ["t1min", "t2min", "d13"])
+@pytest.mark.parametrize("D", [6, 8, 10])
+def test_family_points_match_the_full_scan(request, name, D):
+    # points come from one facet slice of N_D; the oracle scans all of it.
+    # d13 is `gen --n 3 --s 1,0,1,0,1,0`, whose families miss a hole at 10
+    if name == "d13":
+        G = build_triangular_cactus(triangles=3, pendants=(1, 0, 1, 0, 1, 0))
+    else:
+        G = request.getfixturevalue(name)
+    families = hole_decomposition(G)
+    assert families
+    for hf in families:
+        assert hf.points(G, D) == oracles.oracle_family_points(G, hf, D)
+
+
 def test_family_refuses_a_graph_it_was_not_built_for(t1min, t2min, bowtie):
     (hf,) = hole_decomposition(t1min)
     equal = build_triangular_cactus(triangles=2, pendants=(1, 0, 1, 0))

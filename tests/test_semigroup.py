@@ -26,26 +26,27 @@ from edgering import (
 )
 from edgering import semigroup
 from edgering.fixtures import build, load
-from edgering.semigroup import _enumerate_by_inequalities, _pack, _unpack, graded_sorted
+from edgering.semigroup import (
+    LANE_BITS,
+    _enumerate_by_inequalities,
+    _lanes,
+    _pack,
+    _sign_bits,
+    _unpack,
+    graded_sorted,
+)
 
 # the wheel on a 5-cycle rim: not a cactus, and at degree 5 method A's walk
-# meets every kind of interval bound and the parity step of its last column
+# meets every kind of lane bound and the parity check of its last column
 W5 = build_from_edges([("c", f"r{i}") for i in range(5)]
                       + [(f"r{i}", f"r{(i + 1) % 5}") for i in range(5)])
-
-
-def bounded_vectors(d, D):
-    """All nonnegative integer vectors of length d with coordinate sum <= D."""
-    def rec(i, remaining):
-        if i == d - 1:
-            for last in range(remaining + 1):
-                yield (last,)
-            return
-        for first in range(remaining + 1):
-            for rest in rec(i + 1, remaining - first):
-                yield (first,) + rest
-
-    return rec(0, D)
+# non-cacti with many fundamental hyperplanes, for method A on its own
+K5 = build_from_edges(list(itertools.combinations("abcde", 2)))
+W7 = build_from_edges([("c", f"r{i}") for i in range(7)]
+                      + [(f"r{i}", f"r{(i + 1) % 7}") for i in range(7)])
+PETERSEN = build_from_edges([(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+                            + [(f"o{i}", f"i{i}") for i in range(5)]
+                            + [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)])
 
 
 # ------------------------------------------------------------ vectors
@@ -170,7 +171,7 @@ def test_enumerate_normalization_reconstructed_from_oracles(triangle, bowtie):
                  (W5, 5), (W5, 6)):
         want = {
             x
-            for x in bounded_vectors(G.dimension, D)
+            for x in oracles.bounded_vectors(G.dimension, D)
             if oracles.oracle_lattice_member(G, x)
             and oracles.oracle_cone_contains(G, x)
         }
@@ -178,6 +179,49 @@ def test_enumerate_normalization_reconstructed_from_oracles(triangle, bowtie):
         if D % 2:
             # every lattice point has even degree
             assert enumerate_normalization(G, D) == enumerate_normalization(G, D - 1)
+
+
+def test_flow_cone_oracle_agrees_with_the_lp_oracle():
+    rng = random.Random(3)
+    for G in (K5, W7, PETERSEN):
+        for _ in range(60):
+            x = tuple(rng.randint(0, 3) for _ in range(G.dimension))
+            assert (oracles.oracle_cone_contains_by_flow(G, x)
+                    == oracles.oracle_cone_contains(G, x)), x
+
+
+@pytest.mark.parametrize("G", [K5, W7, PETERSEN], ids=["K5", "W7", "Petersen"])
+def test_method_a_reconstructed_from_oracles(G):
+    found = _enumerate_by_inequalities(G, 8)
+    assert frozenset(_unpack(n, G.dimension) for n in found) == (
+        oracles.oracle_normalization(G, 8))
+
+
+def test_method_a_at_the_top_of_the_lane_range(triangle):
+    # D = 255, the largest packed degree: the triangle's cone is cut out by
+    # the triangle inequalities (x = (p + r, p + q, q + r) with p, q, r >= 0)
+    D = 255
+    want = {
+        _pack((a, b, c))
+        for a in range(D + 1)
+        for b in range(D + 1 - a)
+        for c in range((a + b) & 1, D + 1 - a - b, 2)
+        if a <= b + c and b <= a + c and c <= a + b
+    }
+    assert _enumerate_by_inequalities(triangle, D) == want
+
+
+def test_lanes_hold_method_a_values_from_minus_255_to_510():
+    values = [-255, 510, -1, 0, 255, 1]
+    lanes = _lanes(values)
+    for i, v in enumerate(values):
+        lane = lanes >> LANE_BITS * i & ((1 << LANE_BITS) - 1)
+        assert lane - (1 << LANE_BITS - 1) == v  # no carry into a neighbor
+        assert bool(lanes & _sign_bits([i])) is (v >= 0)
+    # stepping every lane at once, as the walk does, keeps them apart
+    step = _lanes([1, -1, 1, -1, 255, -256]) - _lanes([0] * 6)
+    assert lanes + step == _lanes([-254, 509, 0, -1, 510, -255])
+    assert (lanes + step) & _sign_bits(range(6)) == _sign_bits([1, 2, 4])
 
 
 def test_pair_of_a_triangle_and_a_pentagon():
