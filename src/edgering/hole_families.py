@@ -1,21 +1,36 @@
 """Hole structure of diameter-4 triangular cacti.
 
-The normalization gap of these graphs organizes into families: each family
-is a shift vector q (the sum of cycle-pair vectors over a compatible
-collection of exceptional pairs) plus the integer lattice of a facet,
-intersected with the cone. Which facets occur depends on whether the hub is
-regular (Type 1: admissible fundamental-set facets plus the hub facet) or
-not (Type 2: admissible fundamental-set facets only). Serre's (S2) condition
-holds when every family has dimension one less than the ambient dimension;
-that check, run degree slab by degree slab against independently enumerated
-holes, is the verdict this module produces.
+By Katthän's criterion (manuscripta math. 2015; the route of arXiv
+2402.17413), the holes of the edge semigroup are a finite union of families,
+each a shift q plus the lattice of a face F of the cone, within the
+normalization N, and (S2) holds exactly when the faces can all be facets:
+every family of dimension d - 1. This module builds such a union and checks
+it, degree slab by degree slab, against independently enumerated holes.
+
+Shifts. Exceptional cycles (disjoint, no edge between) are pendant triangles
+on distinct hub triangles: hub triangles share the hub w, every other
+triangle holds a spoke adjacent to w, and a hub triangle's spokes are
+adjacent. So a collection is a set C of k >= 2 pairwise-exceptional cycles
+missing w, and its shift is the sum of their indicators 1_c, plus the hub
+unit e_w when k is odd, as N lies in the lattice of even degree. It is a
+hole: each odd cycle needs an edge leaving it, none joins two of them, and
+the one unit at w can close one cycle but not k >= 3.
+
+Facets. The facet must keep the shift at its least height, so the cycles
+must not count in it: a fundamental set T qualifies when w lies in N(T) and
+T's closed neighborhood misses every cycle of C (height 0 for even k, 1 for
+odd), and on Type 1 (hub regular) so does the hub facet x_w >= 0.
+
+This is checked, not proven: a sweep of every class with d <= 17 and at most
+3 pendants per spoke found the union equal to the holes at D = 10 (d <= 13
+also at 12), with every family of dimension d - 1. It did not cover spokes
+with 4 or more pendants, or k = 5 (d >= 21, shift degree 16).
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import warnings
 from dataclasses import dataclass
 
 from . import facets as facets_mod
@@ -28,14 +43,12 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .exceptional import (
-    ExceptionalPair,
     exceptional_pairs,
     is_exceptional,
     is_normal,
-    pair_vector,
     require_diameter4_cactus,
 )
-from .graph_core import Graph, per_graph
+from .graph_core import Graph, indicator, per_graph
 from .semigroup import (
     count_by_degree,
     graded_sorted,
@@ -107,78 +120,63 @@ def _require_cactus_type(G: Graph) -> CactusType:
 
 @dataclass(frozen=True)
 class ExceptionalFamily:
-    """A collection of exceptional pairs in which any cross pairing of
-    cycles from distinct members is itself exceptional."""
+    """A set of at least two pairwise-exceptional minimal odd cycles, in
+    canonical cycle order. An odd set also holds the hub, whose unit joins
+    its shift."""
 
-    pairs: tuple
+    cycles: tuple
+    hub: object = None
 
     @property
-    def p(self) -> int:
-        return len(self.pairs)
+    def vertex_set(self) -> frozenset:
+        return frozenset().union(*(c.vertex_set for c in self.cycles))
 
-    def as_json(self) -> list:
-        return [P.as_json() for P in self.pairs]
-
-
-def _compatible(G: Graph, P: ExceptionalPair, Q: ExceptionalPair) -> bool:
-    return all(
-        is_exceptional(G, a, b)
-        for a in P.cycles()
-        for b in Q.cycles()
-    )
+    def as_json(self) -> dict:
+        cycles = [list(map(str, c.vertices)) for c in self.cycles]
+        if len(cycles) == 2:
+            return {"pairs": [cycles]}
+        out = {"cycles": cycles}
+        if self.hub is not None:
+            out["hub"] = str(self.hub)
+        return out
 
 
 @per_graph
 def exceptional_families(G: Graph) -> tuple:
-    """All compatible collections of exceptional pairs of size 1 up to
-    half the hub-triangle count. Larger compatible collections are outside
-    the proven range; finding one (the search goes one size further)
-    triggers a warning, never silent use."""
-    ct = _require_cactus_type(G)
+    """Every set of at least two pairwise-exceptional minimal odd cycles, by
+    size and then in canonical order, each grown from its last cycle's later
+    partners; the two-cycle sets are the exceptional pairs."""
+    hub = _require_cactus_type(G).hub
     pairs = exceptional_pairs(G)
-    bound = ct.triangles // 2
-    compat = {
-        (i, j): _compatible(G, pairs[i], pairs[j])
-        for i, j in itertools.combinations(range(len(pairs)), 2)
-    }
+    later = {}
+    for P in pairs:
+        later.setdefault(P.first, []).append(P.second)
     out = []
-    for p in range(1, bound + 2):
-        for combo in itertools.combinations(range(len(pairs)), p):
-            if not all(compat[i, j] for i, j in itertools.combinations(combo, 2)):
-                continue
-            if p > bound:
-                warnings.warn(
-                    f"compatible collection of {p} exceptional pairs exceeds "
-                    f"the proven bound {bound}; not used in family construction"
-                )
-                break
-            out.append(ExceptionalFamily(tuple(pairs[i] for i in combo)))
+    sets = [P.cycles() for P in pairs]
+    while sets:
+        out += [ExceptionalFamily(s, hub if len(s) % 2 else None) for s in sets]
+        sets = [s + (c,) for s in sets for c in later.get(s[-1], ())
+                if all(is_exceptional(G, a, c) for a in s[:-1])]
     return tuple(out)
 
 
 def q_vector(G: Graph, family: ExceptionalFamily) -> tuple:
-    """Sum of the cycle-pair vectors over the family; degree 6p."""
-    if not family.pairs:
-        raise EmptySetError("a family needs at least one exceptional pair")
-    total = (0,) * G.dimension
-    for P in family.pairs:
-        total = tuple(a + b for a, b in zip(total, pair_vector(G, P)))
-    return total
+    """The family's shift: the indicator of its cycles' vertices, plus the
+    hub unit for an odd set; degree 3k or 3k + 1 for k pendant triangles."""
+    if not family.cycles:
+        raise EmptySetError("a family needs at least two exceptional cycles")
+    hub = () if family.hub is None else (family.hub,)
+    return indicator(G, family.vertex_set.union(hub))
 
 
 def admissible_fundamental_sets(G: Graph, family: ExceptionalFamily) -> tuple:
-    """Fundamental sets whose closed neighborhood touches the hub but none
-    of the family's cycles."""
-    ct = _require_cactus_type(G)
-    out = []
-    for F in facets_mod.fundamental_sets(G):
-        if ct.hub not in F.neighborhood:
-            continue
-        closed = F.vertices | F.neighborhood
-        if any(closed & P.vertex_set for P in family.pairs):
-            continue
-        out.append(F)
-    return tuple(out)
+    """Fundamental sets whose neighborhood contains the hub and whose closed
+    neighborhood misses every cycle of the family."""
+    hub = _require_cactus_type(G).hub
+    return tuple(
+        F for F in facets_mod.fundamental_sets(G)
+        if hub in F.neighborhood and not (F.vertices | F.neighborhood) & family.vertex_set
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +214,7 @@ class HoleFamily:
             "facet": self.facet.as_json(G),
             "dimension": self.dimension,
             "source": self.source,
-            "pairs": self.family.as_json(),
+            **self.family.as_json(),
         }
         if D is not None:
             out["points_by_degree"] = count_by_degree(self.points(G, D))
@@ -244,8 +242,8 @@ def _family_points(G: Graph, hf: HoleFamily, D: int) -> frozenset:
 
 
 def hole_decomposition(G: Graph, D: int | None = None) -> tuple:
-    """The predicted families: for every compatible pair collection, one
-    family per admissible fundamental set, plus the hub facet family when
+    """The predicted families: for every exceptional cycle set, one family
+    per admissible fundamental set, plus the hub facet family when
     the hub is regular (Type 1). The families are built once per graph;
     passing D precomputes their truncated points."""
     families = _families(G)
@@ -313,8 +311,11 @@ def degree_cap() -> int:
 
 
 def default_truncation(G: Graph) -> int:
-    """Default degree bound: 6 plus twice the largest usable collection
-    size for cacti, 8 otherwise; capped by EDGERING_MAX_DEGREE (default 12)."""
+    """Default degree bound: 6 + 2 * floor(n / 2) for a cactus with n hub
+    triangles, 8 otherwise; capped by EDGERING_MAX_DEGREE (default 12). It
+    need not reach a larger cycle set's shift (3k, plus 1 for odd k): the
+    odd set of n = 3 has degree 10 and the four-cycle set of n = 4 has 12.
+    Such a family is checked only on its points below the shift's degree."""
     cap = degree_cap()
     ct = classify(G)
     if ct.tag in (TYPE1, TYPE2):

@@ -1,5 +1,6 @@
 import pytest
 
+from edgering import build_triangular_cactus
 from edgering import fixtures as fx
 
 _NAMES = fx.names()
@@ -30,3 +31,10 @@ def small_fixture_graphs(request):
         name: request.getfixturevalue(name)
         for name in ("triangle", "bowtie", "friend3", "cac3", "t1min", "t2min")
     }
+
+
+# `edgering gen --n 3 --s 1,0,1,0,1,0`: the smallest cactus with three
+# pairwise-exceptional pendant triangles, hence an odd cycle set
+@pytest.fixture(scope="session")
+def d13():
+    return build_triangular_cactus(triangles=3, pendants=(1, 0, 1, 0, 1, 0))

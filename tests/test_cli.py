@@ -139,6 +139,17 @@ def test_analyze_deterministic(t1min_file, tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_analyze_odd_cycle_set_graph(tmp_path, capsys):
+    # d=13, three pendant triangles on distinct hub triangles: exit 3 before
+    # the odd cycle set's family covered P_1 + P_3 + P_5 + e_w
+    path = tmp_path / "d13.graph"
+    assert main(["gen", "--n", "3", "--s", "1,0,1,0,1,0", "-o", str(path)]) == 0
+    assert main(["analyze", str(path), "--degree", "10", "--max-d", "13"]) == 0
+    out = capsys.readouterr().out
+    assert "decomposition: 13 hole families" in out
+    assert "verdict: normal=false s2=true" in out
+
+
 def test_analyze_normal_graph(tmp_path, capsys):
     code = main(["analyze", str(DATA / "bowtie.graph")])
     assert code == 0

@@ -169,6 +169,6 @@ def test_face_built_once_per_facet(cact4b):
     h = supporting_hyperplanes(cact4b)[0]
     assert face_of(cact4b, h) is face_of(cact4b, h)
     families = hole_decomposition(cact4b)
-    assert len(families) == 99
+    assert len(families) == 113
     assert len({hf.facet for hf in families}) == 67
     assert len({id(hf.face) for hf in families}) == 67

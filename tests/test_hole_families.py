@@ -1,7 +1,6 @@
 import gc
 import itertools
 import json
-import warnings
 import weakref
 from pathlib import Path
 
@@ -83,24 +82,26 @@ def test_classify_sweep_laws(n):
 # ------------------------------------------------------------ families
 
 
-def test_exceptional_families_frozen(t1min, t2min, cact4a, cact4b):
+def test_exceptional_families_frozen(t1min, t2min, cact4a, cact4b, d13):
     f1 = exceptional_families(t1min)
-    assert len(f1) == 1 and f1[0].p == 1
+    assert [len(f.cycles) for f in f1] == [2]
+    assert f1[0].hub is None
     assert len(exceptional_families(t2min)) == 1
-    f4a = exceptional_families(cact4a)
-    assert [f.p for f in f4a] == [1, 1, 1]  # shared cycles block p=2
+    # cact4a has three pendant triangles on distinct hub triangles, cact4b four
+    assert [len(f.cycles) for f in exceptional_families(cact4a)] == [2, 2, 2, 3]
     f4b = exceptional_families(cact4b)
-    assert [f.p for f in f4b] == [1, 1, 1, 1, 1, 1, 2, 2, 2]
+    assert [len(f.cycles) for f in f4b] == [2] * 6 + [3] * 4 + [4]
+    assert [f.hub for f in f4b] == [None] * 6 + ["w"] * 4 + [None]
+    assert [len(f.cycles) for f in exceptional_families(d13)] == [2, 2, 2, 3]
 
 
 def test_exceptional_families_cross_invariant(cact4b):
     from edgering import is_exceptional
 
     for fam in exceptional_families(cact4b):
-        for P, Q in itertools.combinations(fam.pairs, 2):
-            for a in P.cycles():
-                for b in Q.cycles():
-                    assert is_exceptional(cact4b, a, b)
+        for a, b in itertools.combinations(fam.cycles, 2):
+            assert is_exceptional(cact4b, a, b)
+        assert fam.hub not in fam.vertex_set
 
 
 def test_exceptional_families_shared_spoke_exclusion():
@@ -109,17 +110,17 @@ def test_exceptional_families_shared_spoke_exclusion():
     )
     pairs = exceptional_pairs(G)
     assert len(pairs) == 2  # the two bridged pendant cycles pair only
-    # with the third; bound allows p=2 but sharing excludes it
-    assert [f.p for f in exceptional_families(G)] == [1, 1]
+    # with the third, so no set of three exists
+    assert [len(f.cycles) for f in exceptional_families(G)] == [2, 2]
 
 
-def test_no_oversized_warning_on_fixtures(all_fixture_graphs):
-    for name, G in all_fixture_graphs.items():
-        if classify(G).tag == "NotDiameter4Cactus":
+def test_cycle_sets_fit_in_the_hub_triangles(all_fixture_graphs, d13):
+    # pairwise-exceptional cycles lie on distinct hub triangles
+    for G in [*all_fixture_graphs.values(), d13]:
+        ct = classify(G)
+        if ct.tag == "NotDiameter4Cactus":
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            exceptional_families.__wrapped__(G)
+        assert all(len(f.cycles) <= ct.triangles for f in exceptional_families(G))
 
 
 def test_gate(friend3):
@@ -137,10 +138,12 @@ def test_q_vector_values(t1min, cact4b):
     q = q_vector(t1min, fam)
     assert sum(q) == 6
     assert member(t1min, q) is False
-    big = [f for f in exceptional_families(cact4b) if f.p == 2][0]
-    q2 = q_vector(cact4b, big)
-    assert sum(q2) == 12
-    assert member(cact4b, q2) is False
+    for k, degree in ((3, 10), (4, 12)):
+        big = [f for f in exceptional_families(cact4b) if len(f.cycles) == k][0]
+        q = q_vector(cact4b, big)
+        assert sum(q) == degree
+        assert q[cact4b.index("w")] == k % 2
+        assert member(cact4b, q) is False
 
 
 def test_q_vector_empty_family_rejected(t1min):
@@ -159,30 +162,32 @@ def test_admissible_sets_frozen(t1min, t2min):
     assert got == [["x5"], ["x6"]]
 
 
-def test_admissible_sets_definition(t2min):
-    ct = classify(t2min)
-    (fam,) = exceptional_families(t2min)
-    for F in admissible_fundamental_sets(t2min, fam):
-        assert ct.hub in F.neighborhood
-        closed = F.vertices | F.neighborhood
-        for P in fam.pairs:
-            assert not closed & P.vertex_set
+def test_admissible_sets_definition(t2min, cact4a):
+    for G in (t2min, cact4a):
+        hub = classify(G).hub
+        for fam in exceptional_families(G):
+            for F in admissible_fundamental_sets(G, fam):
+                assert hub in F.neighborhood
+                closed = F.vertices | F.neighborhood
+                for c in fam.cycles:
+                    assert not closed & c.vertex_set
 
 
 def test_admissibility_hereditary(cact4b):
+    # a facet admissible for a cycle set is admissible for each pair in it
     singles = {
-        fam.pairs[0]: set(
+        fam.cycles: set(
             F.vertices for F in admissible_fundamental_sets(cact4b, fam)
         )
         for fam in exceptional_families(cact4b)
-        if fam.p == 1
+        if len(fam.cycles) == 2
     }
-    for fam in exceptional_families(cact4b):
-        if fam.p != 2:
-            continue
+    larger = [f for f in exceptional_families(cact4b) if len(f.cycles) > 2]
+    assert larger
+    for fam in larger:
         for F in admissible_fundamental_sets(cact4b, fam):
-            for P in fam.pairs:
-                assert F.vertices in singles[P]
+            for pair in itertools.combinations(fam.cycles, 2):
+                assert F.vertices in singles[pair]
 
 
 # ------------------------------------------------------------ decomposition
@@ -232,6 +237,32 @@ def test_family_points_are_holes(t1min, t2min):
             assert hf.points(G, 8) == frozenset(
                 x for x in pts if sum(x) <= 8
             )
+
+
+@pytest.mark.parametrize("name, D", [("d13", 10), ("d13", 12), ("cact4a", 10)])
+def test_verify_decomposition_covers_odd_cycle_sets(request, name, D):
+    # before the odd sets, P_i + P_j + P_k + e_w went uncovered on these
+    G = request.getfixturevalue(name)
+    report = verify_decomposition(G, D)
+    assert report["passed"]
+    assert set(report["family_dimensions"]) == {G.dimension - 1}
+
+
+def test_odd_family_covers_the_missed_hole(d13):
+    # P_1 + P_3 + P_5 + e_w: the three pendant triangles plus the hub, in
+    # the vertex order w, x1..x6, y1_1, y1_2, y3_1, y3_2, y5_1, y5_2
+    v = (1, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1)
+    assert d13.vertices[0] == "w" and v in holes(d13, 10)
+    odd = [hf for hf in hole_decomposition(d13) if hf.family.hub is not None]
+    assert any(v in hf.points(d13, 10) for hf in odd)
+
+
+def test_no_two_families_share_shift_and_facet(all_fixture_graphs, d13):
+    for G in [*all_fixture_graphs.values(), d13]:
+        if classify(G).tag == "NotDiameter4Cactus":
+            continue
+        families = hole_decomposition(G)
+        assert len({(hf.shift, hf.facet) for hf in families}) == len(families)
 
 
 def test_verify_decomposition_degree_zero_vacuous(t1min):
@@ -368,11 +399,8 @@ def test_family_points_are_cached_on_the_graph(t1min):
 @pytest.mark.parametrize("D", [6, 8, 10])
 def test_family_points_match_the_full_scan(request, name, D):
     # points come from one facet slice of N_D; the oracle scans all of it.
-    # d13 is `gen --n 3 --s 1,0,1,0,1,0`, whose families miss a hole at 10
-    if name == "d13":
-        G = build_triangular_cactus(triangles=3, pendants=(1, 0, 1, 0, 1, 0))
-    else:
-        G = request.getfixturevalue(name)
+    # d13 has an odd cycle set, whose shift has degree 10
+    G = request.getfixturevalue(name)
     families = hole_decomposition(G)
     assert families
     for hf in families:
