@@ -50,10 +50,12 @@ from .exceptional import (
 )
 from .graph_core import Graph, indicator, per_graph
 from .semigroup import (
+    MAX_PACKED_DEGREE,
+    _slices,
+    _unpack_all,
     count_by_degree,
     graded_sorted,
     holes,
-    normalization_slice,
     vector_degree,
 )
 
@@ -234,11 +236,11 @@ class HoleFamily:
 @per_graph
 def _family_points(G: Graph, hf: HoleFamily, D: int) -> frozenset:
     # the face lattice lies in the facet's hyperplane H = 0, so x - shift can
-    # be in it only if H(x) = H(shift): only that slice of N_D is tested
-    shift = hf.shift
-    contains = hf.face.lattice.contains
-    slice_ = normalization_slice(G, D, hf.facet.coefficients, hf.facet.value(shift))
-    return frozenset(x for x in slice_ if contains([a - b for a, b in zip(x, shift)]))
+    # be in it only if H(x) = H(shift): only that slice of N_D is tested, on
+    # its packed points, and only the points kept are unpacked
+    inside = hf.face.lattice.packed_test(hf.shift)
+    slice_ = _slices(G, D, hf.facet.coefficients).get(hf.facet.value(hf.shift), ())
+    return _unpack_all(filter(inside, slice_), G.dimension)
 
 
 def hole_decomposition(G: Graph, D: int | None = None) -> tuple:
@@ -301,11 +303,13 @@ def verify_decomposition(G: Graph, D: int) -> dict:
 
 
 def degree_cap() -> int:
-    """The truncation-degree cap from EDGERING_MAX_DEGREE (default 12)."""
+    """The truncation-degree cap from EDGERING_MAX_DEGREE (default 12), at
+    most MAX_PACKED_DEGREE, the largest degree the packed enumerations hold."""
     raw = os.environ.get("EDGERING_MAX_DEGREE", "12")
-    if not raw.strip().isdecimal():
+    if not raw.strip().isdecimal() or int(raw) > MAX_PACKED_DEGREE:
         raise EdgeRingError(
-            f"EDGERING_MAX_DEGREE must be a nonnegative integer, got {raw!r}"
+            f"EDGERING_MAX_DEGREE must be an integer from 0 to "
+            f"{MAX_PACKED_DEGREE}, got {raw!r}"
         )
     return int(raw)
 

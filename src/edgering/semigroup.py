@@ -10,12 +10,12 @@ built once per degree bound as degree slabs. The normalization is enumerated
 two independent ways and cross-checked: (A) a walk over nonnegative vectors
 that keeps every fundamental hyperplane's value in a 16-bit lane of one int,
 so a step is one addition and the cone's inequalities are read off the
-lanes' sign bits, plus a lattice-membership test; (B) the slabs of S_D closed
-under adding the cycle-pair vectors that, with the generators, generate the
-normalization. `normalization_slice` hands out one facet slice of N_D
-(the points where a {-1, 0, 1} functional takes one value), bucketed from
-masked byte sums of the packed points, so a hole family unpacks and tests
-only the slice its points lie in.
+lanes' sign bits, plus a lattice-membership test on the packed leaf
+(`IntegerLattice.packed_test`); (B) the slabs of S_D closed under adding the
+cycle-pair vectors that, with the generators, generate the normalization.
+`_slices` buckets the packed N_D by the value of one {-1, 0, 1} facet
+functional, read from masked byte sums, so a hole family tests only the
+slice its points lie in, still packed, and unpacks only the points it keeps.
 """
 
 from __future__ import annotations
@@ -202,13 +202,6 @@ def holes(G: Graph, D: int) -> frozenset:
     return _unpack_all(gap, G.dimension)
 
 
-def normalization_slice(G: Graph, D: int, coefficients: tuple, value: int) -> list:
-    """The points x of the degree-D normalization with coefficients·x ==
-    value, for coefficients in {-1, 0, 1}; only this slice is unpacked."""
-    d = G.dimension
-    return [_unpack(n, d) for n in _slices(G, D, coefficients).get(value, ())]
-
-
 @per_graph
 def _slices(G: Graph, D: int, coefficients: tuple) -> dict:
     # the packed N_D bucketed by coefficients·x. Masking the +1 (or -1) bytes
@@ -317,7 +310,7 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
         table.append((step, keep, reach, 1 << 8 * k))
     found: list[int] = []
     if D >= 0:
-        walk = (table, [0] * d, found, edge_lattice(G).contains, D)
+        walk = (table, found, edge_lattice(G).packed_test(), D)
         _lane_walk(0, _lanes([0] * n + [D] * n), D, 0, walk)
     return frozenset(found)
 
@@ -325,16 +318,15 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
 def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:
     # column k of method A: x[k] runs from 0 while the `keep` lanes hold;
     # module level, so no self-referencing closure is left for the collector
-    table, x, found, contains, D = walk
+    table, found, in_lattice, D = walk
     step, keep, reach, unit = table[k]
     last = k == len(table) - 1
     v = 0
     while True:
         if (lanes & reach) == reach:
-            x[k] = v
             if not last:
                 _lane_walk(k + 1, lanes, left - v, packed, walk)
-            elif not (D - left + v) & 1 and contains(x):  # lattice points have even degree
+            elif not (D - left + v) & 1 and in_lattice(packed):  # lattice points have even degree
                 found.append(packed)
         if v == left:
             return

@@ -215,6 +215,16 @@ def test_analyze_bad_degree_cap_env(t1min_file, capsys, monkeypatch, raw):
     assert "EDGERING_MAX_DEGREE" in capsys.readouterr().err
 
 
+def test_analyze_refuses_a_cap_above_the_packed_degree(t1min_file, capsys, monkeypatch):
+    # a cap above 255 is refused before any of the report is printed
+    monkeypatch.setenv("EDGERING_MAX_DEGREE", "400")
+    assert main(["analyze", str(t1min_file), "--degree", "300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("edgering: EdgeRingError: EDGERING_MAX_DEGREE")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", ["3 2\na\nb\nc\na b\nb c\n", "1 0\nv\n"],
                          ids=["path", "vertex"])
 def test_analyze_refuses_bipartite_graph_before_writing(tmp_path, capsys, text):

@@ -353,7 +353,7 @@ def test_default_truncation(t1min, t2min, cact4b, bowtie, monkeypatch):
     assert default_truncation(t1min) == 6
 
 
-@pytest.mark.parametrize("raw", ["abc", "-4", "1.5", ""])
+@pytest.mark.parametrize("raw", ["abc", "-4", "1.5", "", "256"])
 def test_default_truncation_rejects_bad_env(t1min, monkeypatch, raw):
     monkeypatch.setenv("EDGERING_MAX_DEGREE", raw)
     with pytest.raises(EdgeRingError, match="EDGERING_MAX_DEGREE"):
@@ -395,11 +395,18 @@ def test_family_points_are_cached_on_the_graph(t1min):
     assert hf.points(t1min, 8) is pts
 
 
-@pytest.mark.parametrize("name", ["t1min", "t2min", "d13"])
-@pytest.mark.parametrize("D", [6, 8, 10])
+# cact4a (d = 15, 26 families) stands for the 4-triangle class, at the one
+# degree the oracle's scan of N_D fits a Tier-1 budget
+_SCAN_CASES = [(name, D) for D in (6, 8, 10) for name in ("t1min", "t2min", "d13")]
+_SCAN_CASES.append(("cact4a", 8))
+
+
+@pytest.mark.parametrize("name, D", _SCAN_CASES,
+                         ids=[f"{D}-{name}" for name, D in _SCAN_CASES])
 def test_family_points_match_the_full_scan(request, name, D):
-    # points come from one facet slice of N_D; the oracle scans all of it.
-    # d13 has an odd cycle set, whose shift has degree 10
+    # points come from one facet slice of N_D, tested packed; the oracle
+    # scans all of it with `contains`. d13 has an odd cycle set, whose shift
+    # has degree 10
     G = request.getfixturevalue(name)
     families = hole_decomposition(G)
     assert families
