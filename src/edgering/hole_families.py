@@ -239,8 +239,20 @@ def _family_points(G: Graph, hf: HoleFamily, D: int) -> frozenset:
     # be in it only if H(x) = H(shift): only that slice of N_D is tested, on
     # its packed points, and only the points kept are unpacked
     inside = hf.face.lattice.packed_test(hf.shift)
-    slice_ = _slices(G, D, hf.facet.coefficients).get(hf.facet.value(hf.shift), ())
-    return _unpack_all(filter(inside, slice_), G.dimension)
+    coefficients = hf.facet.coefficients
+    slices = _slices(G, D, coefficients, _slice_heights(G)[coefficients])
+    return _unpack_all(filter(inside, slices[hf.facet.value(hf.shift)]), G.dimension)
+
+
+@per_graph
+def _slice_heights(G: Graph) -> dict:
+    # facet coefficients -> the heights H(shift) of the families on that
+    # facet: the only slices of N_D that family points read
+    heights: dict[tuple, frozenset] = {}
+    for hf in _families(G):
+        c = hf.facet.coefficients
+        heights[c] = heights.get(c, frozenset()) | {hf.facet.value(hf.shift)}
+    return heights
 
 
 def hole_decomposition(G: Graph, D: int | None = None) -> tuple:

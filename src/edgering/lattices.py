@@ -9,8 +9,8 @@ Python ints, so there is no overflow to guard against.
 
 `packed_test` compiles the same congruences once into a test on vectors
 packed one byte per coordinate (the enumerations' representation, see
-`semigroup`): each dot product is read from masked byte sums, so the hot
-loops test packed points without unpacking them. `contains` stays the
+`semigroup`): each dot product is read from masked byte sums, so hole
+families test packed points without unpacking them. `contains` stays the
 definition, and the tests check the packed test against it.
 """
 
@@ -24,7 +24,7 @@ from .errors import DimensionMismatchError
 class IntegerLattice:
     """The sublattice of Z^dimension spanned by `vectors`.
 
-    `_congruences` holds one (sparse functional, modulus) pair per column of
+    `congruences` holds one (sparse functional, modulus) pair per column of
     V: x is a member iff f·x ≡ 0 (mod m) for every pair, where m = 0 means
     f·x = 0. Pairs with m = 1 hold for every integer vector and are dropped.
     """
@@ -69,12 +69,12 @@ class IntegerLattice:
                 rows[t:] = [r for r in rows[t:] if any(r)]
         self.rank = t
         moduli += [0] * (dimension - t)
-        self._congruences = []
+        congruences = []
         for f, m in zip(cols, moduli):
             if m != 1:
                 f = [c % m for c in f] if m else f
-                f = tuple((j, c) for j, c in enumerate(f) if c)
-                self._congruences.append((f, m))
+                congruences.append((tuple((j, c) for j, c in enumerate(f) if c), m))
+        self.congruences = tuple(congruences)
 
     def _check(self, vector: Sequence[int]) -> Sequence[int]:
         if len(vector) != self.dimension:
@@ -86,7 +86,7 @@ class IntegerLattice:
     def contains(self, vector: Sequence[int]) -> bool:
         """Exact membership: every derived congruence holds on the vector."""
         v = self._check(vector)
-        for f, m in self._congruences:
+        for f, m in self.congruences:
             s = sum(v[j] * c for j, c in f)
             if (s % m if m else s):
                 return False
@@ -107,7 +107,7 @@ class IntegerLattice:
         ones = int.from_bytes(b"\x01" * d, "little")
         top = 8 * (d - 1)
         rows = []
-        for f, m in self._congruences:
+        for f, m in self.congruences:
             masks: dict[int, int] = {}
             for j, c in f:
                 masks[c] = masks.get(c, 0) | 255 << 8 * j

@@ -10,12 +10,16 @@ built once per degree bound as degree slabs. The normalization is enumerated
 two independent ways and cross-checked: (A) a walk over nonnegative vectors
 that keeps every fundamental hyperplane's value in a 16-bit lane of one int,
 so a step is one addition and the cone's inequalities are read off the
-lanes' sign bits, plus a lattice-membership test on the packed leaf
-(`IntegerLattice.packed_test`); (B) the slabs of S_D closed under adding the
+lanes' sign bits. Its lattice test is the leaf's degree parity: the walk
+checks once per graph that the edge lattice's derived congruences are
+exactly sum(x) ≡ 0 (mod 2), and the last coordinate then takes only the
+values that make the degree even, two units at a time, inside the loop of
+the column before it. (B) closes the slabs of S_D under adding the
 cycle-pair vectors that, with the generators, generate the normalization.
-`_slices` buckets the packed N_D by the value of one {-1, 0, 1} facet
-functional, read from masked byte sums, so a hole family tests only the
-slice its points lie in, still packed, and unpacks only the points it keeps.
+`_slices` keeps the points of the packed N_D at the few values of one
+{-1, 0, 1} facet functional that hole families read, computed from masked
+byte sums, so a family tests only the slice its points lie in, still
+packed, and unpacks only the points it keeps.
 """
 
 from __future__ import annotations
@@ -186,7 +190,9 @@ def enumerate_normalization(G: Graph, D: int) -> frozenset:
     coordinate while no lane shows that the cone's fundamental-set
     inequalities can no longer be met (the regular-vertex inequalities hold
     automatically on nonnegative vectors); a leaf must have every
-    hyperplane value nonnegative, even degree and lie in the edge lattice.
+    hyperplane value nonnegative and even degree. Even degree is the edge
+    lattice's one congruence, checked once per graph on its derived
+    congruences, so the last coordinate steps two units at a time.
     Method B closes the semigroup's degree slabs under adding the
     cycle-pair vectors that, with the generators, generate the
     normalization. Disagreement raises MethodMismatchError: either a bug
@@ -203,8 +209,9 @@ def holes(G: Graph, D: int) -> frozenset:
 
 
 @per_graph
-def _slices(G: Graph, D: int, coefficients: tuple) -> dict:
-    # the packed N_D bucketed by coefficients·x. Masking the +1 (or -1) bytes
+def _slices(G: Graph, D: int, coefficients: tuple, heights: frozenset) -> dict:
+    # the points of the packed N_D at the given heights coefficients·x, one
+    # list per height; the others are dropped. Masking the +1 (or -1) bytes
     # and multiplying by 1 + 256 + ... + 256**(d-1) sums those bytes into
     # byte d-1; no byte sum exceeds D <= 255, so nothing carries
     d = G.dimension
@@ -212,10 +219,11 @@ def _slices(G: Graph, D: int, coefficients: tuple) -> dict:
     plus = _pack([255 * (c > 0) for c in coefficients])
     minus = _pack([255 * (c < 0) for c in coefficients])
     top = 8 * (d - 1)
-    buckets: dict[int, list] = {}
+    buckets: dict[int, list] = {h: [] for h in heights}
     for n in _normalization(G, D):
         value = ((n & plus) * ones >> top & 255) - ((n & minus) * ones >> top & 255)
-        buckets.setdefault(value, []).append(n)
+        if value in buckets:
+            buckets[value].append(n)
     return buckets
 
 
@@ -275,6 +283,18 @@ def _sign_bits(lanes: Iterable[int]) -> int:
     return sum(_LANE_BIAS << LANE_BITS * i for i in lanes)
 
 
+def _require_parity_lattice(G: Graph) -> None:
+    # method A tests a leaf against the edge lattice by its degree alone,
+    # which is exact when the lattice's one congruence is sum(x) ≡ 0 (mod 2),
+    # as it is for every connected non-bipartite graph
+    parity = ((tuple((j, 1) for j in range(G.dimension)), 2),)
+    if edge_lattice(G).congruences != parity:
+        raise EdgeRingError(
+            "the edge lattice is not the even-degree lattice; method A "
+            "enumerates only connected non-bipartite graphs"
+        )
+
+
 def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
     _check_degree(D)
     d = G.dimension
@@ -283,6 +303,7 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
         for h in facets.supporting_hyperplanes(G)
         if h.kind == "fundamental"
     ]
+    _require_parity_lattice(G)
     n = len(hyps)
     # Lane h holds f_h, hyperplane h's value on the walked prefix; lane n + h
     # holds f_h + L, with L the degree still free. Both are >= 0 at every
@@ -308,9 +329,13 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
         else:
             reach = _sign_bits([h for h in range(n) if col[h] > 0 and not later[h]])
         table.append((step, keep, reach, 1 << 8 * k))
+    # the penultimate column closes the last one in its own loop, so the
+    # last column also carries its two-unit step
+    step, keep, reach, unit = table.pop()
+    last = (step, 2 * step, keep, reach, unit, 2 * unit)
     found: list[int] = []
     if D >= 0:
-        walk = (table, found, edge_lattice(G).packed_test(), D)
+        walk = (table, len(table) - 1, last, found.append, D)
         _lane_walk(0, _lanes([0] * n + [D] * n), D, 0, walk)
     return frozenset(found)
 
@@ -318,19 +343,45 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
 def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:
     # column k of method A: x[k] runs from 0 while the `keep` lanes hold;
     # module level, so no self-referencing closure is left for the collector
-    table, found, in_lattice, D = walk
+    table, penultimate, last, found, D = walk
     step, keep, reach, unit = table[k]
-    last = k == len(table) - 1
-    v = 0
+    if k < penultimate:
+        every = last[3]  # the last column's `reach`: every hyperplane
+        v = 0
+        while True:
+            if (lanes & reach) == reach:
+                if v < left:
+                    _lane_walk(k + 1, lanes, left - v, packed, walk)
+                elif not D & 1 and (lanes & every) == every:
+                    # no degree left: every later coordinate is 0, and the
+                    # leaf is checked against every fundamental hyperplane
+                    found(packed)
+            if v == left:
+                return
+            v += 1
+            lanes += step
+            packed += unit
+            if (lanes & keep) != keep:
+                return
+    # the penultimate column: at each of its values the last coordinate w
+    # takes only the values that make the degree D - rest + w even (lattice
+    # points have even degree), two units at a time. The last column's `keep`
+    # lanes only fall, so checking them at each landing is exact
+    step1, step2, keep1, reach1, unit1, unit2 = last
+    rest = left
     while True:
         if (lanes & reach) == reach:
-            if not last:
-                _lane_walk(k + 1, lanes, left - v, packed, walk)
-            elif not (D - left + v) & 1 and in_lattice(packed):  # lattice points have even degree
-                found.append(packed)
-        if v == left:
+            w = (D - rest) & 1
+            leaf_lanes, leaf = (lanes + step1, packed + unit1) if w else (lanes, packed)
+            while w <= rest and (leaf_lanes & keep1) == keep1:
+                if (leaf_lanes & reach1) == reach1:
+                    found(leaf)
+                w += 2
+                leaf_lanes += step2
+                leaf += unit2
+        if not rest:
             return
-        v += 1
+        rest -= 1
         lanes += step
         packed += unit
         if (lanes & keep) != keep:

@@ -203,7 +203,7 @@ def test_packed_test_agrees_with_contains(all_fixture_graphs):
         gens = [tuple(rng.randint(0, 4) for _ in range(d))
                 for _ in range(rng.randint(0, d))]
         L = IntegerLattice(d, gens)
-        for f, m in L._congruences:
+        for f, m in L.congruences:
             if m == 0 and any(abs(c) > 1 for _, c in f):
                 rows.add("equality beyond ±1")
             if m >= 3:

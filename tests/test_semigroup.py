@@ -7,6 +7,7 @@ import pytest
 import oracles
 from edgering import (
     EdgeRingError,
+    IntegerLattice,
     MethodMismatchError,
     NotAnEdgeError,
     acceptance,
@@ -190,11 +191,61 @@ def test_flow_cone_oracle_agrees_with_the_lp_oracle():
                     == oracles.oracle_cone_contains(G, x)), x
 
 
-@pytest.mark.parametrize("G", [K5, W7, PETERSEN], ids=["K5", "W7", "Petersen"])
-def test_method_a_reconstructed_from_oracles(G):
-    found = _enumerate_by_inequalities(G, 8)
+METHOD_A_GRAPHS = {"triangle": build("triangle"), "bowtie": build("bowtie"),
+                   "K5": K5, "W7": W7, "Petersen": PETERSEN}
+
+
+# every degree from 0 to 9, so the last column is walked at both parities
+# of the degree left to it; degree 8 keeps the graph's bare id
+_METHOD_A_CASES = [(name, D) for name in ("triangle", "bowtie", "K5", "W7") for D in range(10)]
+_METHOD_A_CASES.append(("Petersen", 8))
+
+
+@pytest.mark.parametrize("name, D", _METHOD_A_CASES,
+                         ids=[name if D == 8 else f"{name}-{D}" for name, D in _METHOD_A_CASES])
+def test_method_a_reconstructed_from_oracles(name, D):
+    G = METHOD_A_GRAPHS[name]
+    found = _enumerate_by_inequalities(G, D)
     assert frozenset(_unpack(n, G.dimension) for n in found) == (
-        oracles.oracle_normalization(G, 8))
+        oracles.oracle_normalization(G, D))
+
+
+def _random_non_bipartite_graphs(rng, count):
+    # a triangle on 0, 1, 2, a random tree hanging off it, and random chords:
+    # connected and never bipartite
+    for _ in range(count):
+        n = rng.randint(3, 9)
+        edges = {(0, 1), (1, 2), (0, 2)}
+        edges |= {(rng.randrange(v), v) for v in range(3, n)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2}
+        yield build_from_edges(sorted(edges))
+
+
+def test_method_a_lattice_is_the_degree_parity(all_fixture_graphs):
+    # method A tests a leaf against the edge lattice by its degree alone
+    rng = random.Random(13)
+    graphs = [*all_fixture_graphs.values(), K5, W7, PETERSEN,
+              *_random_non_bipartite_graphs(rng, 40)]
+    for G in graphs:
+        d = G.dimension
+        L = semigroup.edge_lattice(G)
+        assert L.congruences == ((tuple((j, 1) for j in range(d)), 2),), G.vertices
+        for _ in range(100):
+            x = tuple(rng.randint(-3, 3) for _ in range(d))
+            assert L.contains(x) == oracles.oracle_lattice_member(G, x), (G.vertices, x)
+
+
+@pytest.mark.parametrize("lattice", ["doubled generators", "every vector"])
+def test_method_a_refuses_a_lattice_with_another_congruence(monkeypatch, lattice):
+    G = build("t1min")
+    d = G.dimension
+    if lattice == "doubled generators":
+        L = IntegerLattice(d, [[2 * a for a in g] for g in semigroup.generators(G)])
+    else:
+        L = IntegerLattice(d, [unit_vector(G, v) for v in G.vertices])
+    monkeypatch.setattr(semigroup, "edge_lattice", lambda G: L)
+    with pytest.raises(EdgeRingError, match="even-degree lattice"):
+        _enumerate_by_inequalities(G, 4)
 
 
 def test_method_a_at_the_top_of_the_lane_range(triangle):
