@@ -188,12 +188,11 @@ class HoleFamily:
     Plain data that refers to no graph: `points(G, D)` and `as_json(G, D)`
     take the graph the family was built for, as `Hyperplane.as_json(G)`
     does, and refuse any other. Equality is identity, so each family keys
-    its own points in the graph's cache.
+    its own points in the graph's per-degree map.
     """
 
     shift: tuple
     facet: facets_mod.Hyperplane
-    source: str  # "hub" | "fundamental"
     family: ExceptionalFamily
     face: facets_mod.FaceData
 
@@ -201,12 +200,17 @@ class HoleFamily:
     def dimension(self) -> int:
         return self.face.dimension
 
+    @property
+    def source(self) -> str:
+        """"hub" for the hub's own facet x_w >= 0, else "fundamental"."""
+        return "hub" if self.facet.kind == "regular" else "fundamental"
+
     def points(self, G: Graph, D: int) -> frozenset:
         """The points x of the degree-D normalization whose difference
         x - shift lies in the facet's lattice, cached on G, so family points
         and holes share one enumeration and one representation."""
         self._require_built_for(G)
-        return _family_points(G, self, D)
+        return _family_points(G, D)[self]
 
     def as_json(self, G: Graph, D: int | None = None) -> dict:
         self._require_built_for(G)
@@ -223,7 +227,7 @@ class HoleFamily:
         return out
 
     def _require_built_for(self, G: Graph) -> None:
-        if classify(G).tag == NOT_DIAM4 or not any(hf is self for hf in _families(G)):
+        if classify(G).tag == NOT_DIAM4 or self not in _families(G):
             raise PreconditionViolatedError("this hole family was built for another graph")
 
     def __repr__(self) -> str:
@@ -234,55 +238,49 @@ class HoleFamily:
 
 
 @per_graph
-def _family_points(G: Graph, hf: HoleFamily, D: int) -> frozenset:
-    # the face lattice lies in the facet's hyperplane H = 0, so x - shift can
-    # be in it only if H(x) = H(shift): only that slice of N_D is tested, on
-    # its packed points, and only the points kept are unpacked
-    inside = hf.face.lattice.packed_test(hf.shift)
-    coefficients = hf.facet.coefficients
-    slices = _slices(G, D, coefficients, _slice_heights(G)[coefficients])
-    return _unpack_all(filter(inside, slices[hf.facet.value(hf.shift)]), G.dimension)
-
-
-@per_graph
-def _slice_heights(G: Graph) -> dict:
-    # facet coefficients -> the heights H(shift) of the families on that
-    # facet: the only slices of N_D that family points read
-    heights: dict[tuple, frozenset] = {}
+def _family_points(G: Graph, D: int) -> dict:
+    # every family's points at degree D. The face lattice lies in the
+    # facet's hyperplane H = 0, so x - shift can be in it only if
+    # H(x) = H(shift): each facet's slices of N_D at its families' heights
+    # are built once, tested packed and not kept; only the points a family
+    # keeps are unpacked
+    on_facet: dict[facets_mod.Hyperplane, list] = {}
     for hf in _families(G):
-        c = hf.facet.coefficients
-        heights[c] = heights.get(c, frozenset()) | {hf.facet.value(hf.shift)}
-    return heights
+        on_facet.setdefault(hf.facet, []).append(hf)
+    points = {}
+    for facet, families in on_facet.items():
+        heights = {hf: facet.value(hf.shift) for hf in families}
+        slices = _slices(G, D, facet.coefficients, frozenset(heights.values()))
+        for hf, height in heights.items():
+            inside = hf.face.lattice.packed_test(hf.shift)
+            points[hf] = _unpack_all(filter(inside, slices[height]), G.dimension)
+    return points
 
 
 def hole_decomposition(G: Graph, D: int | None = None) -> tuple:
     """The predicted families: for every exceptional cycle set, one family
     per admissible fundamental set, plus the hub facet family when
     the hub is regular (Type 1). The families are built once per graph;
-    passing D precomputes their truncated points."""
+    passing D also computes every family's points at degree D, in one
+    pass per facet."""
     families = _families(G)
     if D is not None:
-        for hf in families:
-            hf.points(G, D)
+        _family_points(G, D)
     return families
 
 
 @per_graph
 def _families(G: Graph) -> tuple:
-    ct = _require_cactus_type(G)
+    hub = _require_cactus_type(G).hub
     hyps = facets_mod.supporting_hyperplanes(G)
     by_set = {F: h for h in hyps for F in h.sets}
-    hub_hyp = None
-    if ct.tag == TYPE1:
-        hub_hyp = next(h for h in hyps if h.kind == "regular" and h.vertex == ct.hub)
+    # the hub's own facet x_w >= 0 exists exactly when the hub is regular
+    hub_facets = [h for h in hyps if h.vertex == hub]
     families = []
     for fam in exceptional_families(G):
         q = q_vector(G, fam)
-        sources = [(by_set[F], "fundamental") for F in admissible_fundamental_sets(G, fam)]
-        if hub_hyp is not None:
-            sources.append((hub_hyp, "hub"))
-        families += [HoleFamily(q, h, source, fam, facets_mod.face_of(G, h))
-                     for h, source in sources]
+        fam_facets = [by_set[F] for F in admissible_fundamental_sets(G, fam)] + hub_facets
+        families += [HoleFamily(q, h, fam, facets_mod.face_of(G, h)) for h in fam_facets]
     return tuple(families)
 
 

@@ -16,10 +16,11 @@ exactly sum(x) ≡ 0 (mod 2), and the last coordinate then takes only the
 values that make the degree even, two units at a time, inside the loop of
 the column before it. (B) closes the slabs of S_D under adding the
 cycle-pair vectors that, with the generators, generate the normalization.
-`_slices` keeps the points of the packed N_D at the few values of one
+`_slices` picks out the points of the packed N_D at the few values of one
 {-1, 0, 1} facet functional that hole families read, computed from masked
-byte sums, so a family tests only the slice its points lie in, still
-packed, and unpacks only the points it keeps.
+byte sums. It is not cached: the slices are temporaries of one pass over a
+facet's families, each of which tests its slice still packed and unpacks
+only the points it keeps.
 """
 
 from __future__ import annotations
@@ -208,7 +209,6 @@ def holes(G: Graph, D: int) -> frozenset:
     return _unpack_all(gap, G.dimension)
 
 
-@per_graph
 def _slices(G: Graph, D: int, coefficients: tuple, heights: frozenset) -> dict:
     # the points of the packed N_D at the given heights coefficients·x, one
     # list per height; the others are dropped. Masking the +1 (or -1) bytes
@@ -314,8 +314,10 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
     #   `keep`:  the lanes that only fall as x[k] grows (f_h + L, and f_h for
     #            c <= 0); the first value that fails them ends column k,
     #   `reach`: the lanes that rise (f_h for c = +1 with no later +1); x[k]
-    #            goes on up to them. In the last column `reach` is every f_h,
-    #            so a leaf is checked against every fundamental hyperplane.
+    #            goes on up to them.
+    # In the last column no hyperplane has a later +1, so `keep` and `reach`
+    # together cover every f_h: a leaf is checked against every fundamental
+    # hyperplane.
     zero = _lanes([0] * 2 * n)
     table = []
     for k in range(d):
@@ -324,10 +326,7 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
         step = _lanes(col + [c - 1 for c in col]) - zero
         keep = _sign_bits([h for h in range(n) if col[h] <= 0 and not later[h]]
                           + [n + h for h in range(n) if later[h]])
-        if k == d - 1:
-            reach = _sign_bits(range(n))
-        else:
-            reach = _sign_bits([h for h in range(n) if col[h] > 0 and not later[h]])
+        reach = _sign_bits([h for h in range(n) if col[h] > 0 and not later[h]])
         table.append((step, keep, reach, 1 << 8 * k))
     # the penultimate column closes the last one in its own loop, so the
     # last column also carries its two-unit step
@@ -346,15 +345,15 @@ def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:
     table, penultimate, last, found, D = walk
     step, keep, reach, unit = table[k]
     if k < penultimate:
-        every = last[3]  # the last column's `reach`: every hyperplane
         v = 0
         while True:
             if (lanes & reach) == reach:
                 if v < left:
                     _lane_walk(k + 1, lanes, left - v, packed, walk)
-                elif not D & 1 and (lanes & every) == every:
-                    # no degree left: every later coordinate is 0, and the
-                    # leaf is checked against every fundamental hyperplane
+                elif not D & 1:
+                    # no degree left: every later coordinate is 0, and
+                    # every f_h >= 0 already: `keep` holds f_h + 0 for h
+                    # with a later +1 and f_h for c <= 0, `reach` the rest
                     found(packed)
             if v == left:
                 return

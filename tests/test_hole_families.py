@@ -25,6 +25,7 @@ from edgering import (
     exceptional_families,
     exceptional_pairs,
     hole_decomposition,
+    hole_families,
     holes,
     lattice_member,
     member,
@@ -263,6 +264,11 @@ def test_no_two_families_share_shift_and_facet(all_fixture_graphs, d13):
             continue
         families = hole_decomposition(G)
         assert len({(hf.shift, hf.facet) for hf in families}) == len(families)
+        # the hub's own facet x_w >= 0 exists exactly on Type 1
+        for hf in families:
+            assert hf.source == ("hub" if hf.facet.kind == "regular" else "fundamental")
+        hub_sourced = any(hf.source == "hub" for hf in families)
+        assert hub_sourced == (classify(G).tag == "Type1")
 
 
 def test_verify_decomposition_degree_zero_vacuous(t1min):
@@ -393,6 +399,19 @@ def test_family_points_are_cached_on_the_graph(t1min):
     (hf,) = hole_decomposition(t1min)
     pts = hf.points(t1min, 8)
     assert hf.points(t1min, 8) is pts
+    # d13, built fresh so no other test has filled its cache: 13 families on
+    # 10 facets. One map per degree holds every family's points, and no
+    # facet slice of N_D outlives the pass that read it
+    G = build_triangular_cactus(triangles=3, pendants=(1, 0, 1, 0, 1, 0))
+    assert s2_verdict(G, 8)["s2"] is True
+    families = hole_decomposition(G)
+    for D in (6, 8):
+        by_family = hole_families._family_points(G, D)
+        assert set(by_family) == set(families)
+        assert all(hf.points(G, D) is by_family[hf] for hf in families)
+    cached = [key[0].__name__ for key in G._cache]
+    assert cached.count("_family_points") == 2
+    assert "_slices" not in cached
 
 
 # cact4a (d = 15, 26 families) stands for the 4-triangle class, at the one
