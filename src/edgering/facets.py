@@ -11,17 +11,15 @@ reduce to integer evaluations against this list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import BipartiteGraphError
 from .graph_core import (
     Graph,
-    bipartite_induced_connected,
     check_vector,
     components,
     has_odd_cycle,
     indicator,
-    neighbors_of_set,
     per_graph,
     require_connected,
 )
@@ -69,6 +67,28 @@ class Hyperplane:
         }
 
 
+# Hyperplane values in lanes of one int: value h, biased by 2**(width - 1),
+# in lane h, so a lane's top bit is set iff its value is >= 0. While every
+# value is smaller in size than the bias no lane carries into the next, and
+# adding ints adds every lane at once.
+LANE_BITS = 16
+
+
+def _lanes(values: Sequence[int], width: int = LANE_BITS) -> int:
+    """Signed values, value i biased in lane i; OverflowError if a biased
+    value does not fit its lane. `width` is a multiple of 8."""
+    bias, size = 1 << (width - 1), width // 8
+    return int.from_bytes(b"".join([(bias + v).to_bytes(size, "little")
+                                    for v in values]), "little")
+
+
+def _sign_bits(lanes: Iterable[int], width: int = LANE_BITS) -> int:
+    """The top bits of the given lanes: set in a packed int iff those
+    lanes hold values >= 0."""
+    bias = 1 << (width - 1)
+    return sum(bias << width * i for i in lanes)
+
+
 @dataclass(frozen=True)
 class FaceData:
     """The edges whose generators lie on a hyperplane, and the lattice those
@@ -102,32 +122,80 @@ def fundamental_sets(G: Graph) -> tuple:
     """Every fundamental set, enumerated exhaustively over independent sets,
     sorted by (size, vertex indices)."""
     require_connected(G)
-    found = []
-    for T in _independent_sets(G, 0, frozenset(), frozenset()):
-        N = neighbors_of_set(G, T)
-        if bipartite_induced_connected(G, T):
-            rest = set(G.vertices) - T - N
-            if not rest or all(
-                has_odd_cycle(G, c) for c in components(G, within=rest)
-            ):
-                found.append(FundamentalSet(T, N))
-    found.sort(key=lambda F: F.sort_key(G))
-    return tuple(found)
+    adj = [sum(1 << G.index(u) for u in G.neighbors(v)) for v in G.vertices]
+    found: list = []
+    _fundamental_masks(adj, (1 << G.dimension) - 1, 0, 0, 0, (), found)
+
+    def members(mask: int) -> frozenset:
+        # frozenset of a set, not of a generator: copying a set sizes the
+        # table to fit, where growing one from a generator can leave it
+        # half empty, and the facet list keeps thousands of these
+        return frozenset({G.vertices[i] for i in _bits(mask)})
+
+    out = [FundamentalSet(members(T), members(N)) for T, N in found]
+    out.sort(key=lambda F: F.sort_key(G))
+    return tuple(out)
 
 
-def _independent_sets(G: Graph, start: int, chosen: frozenset, blocked: frozenset):
-    """Every nonempty independent set that extends `chosen` by vertices of
-    index `start` or later outside `blocked`, depth first. Kept at module
-    level: a recursive closure over G would be a reference cycle holding G,
-    and everything cached on it, until the cycle collector runs."""
-    for i in range(start, G.dimension):
-        v = G.vertices[i]
-        if v in blocked:
+# fundamental_sets works on vertex sets as bitmasks, vertex i in bit i, with
+# adj[i] the mask of i's neighbors. These helpers take the masks, not G, and
+# live at module level: a recursive closure over G would be a reference
+# cycle holding G, and everything cached on it, until the cycle collector
+# runs.
+
+def _fundamental_masks(adj: list, full: int, start: int, T: int, N: int,
+                       parts: tuple, found: list) -> None:
+    """Append (T, N(T)) for every fundamental set that extends the
+    independent set T by vertices of index `start` or later, depth first.
+    Extending T only by vertices outside N(T) keeps it independent.
+
+    `parts` holds, per component of T's contact graph (T and N(T) with the
+    edges of G between them), that component's part of N(T). Vertices of
+    T meet only through common neighbors, so a new vertex i merges exactly
+    the components whose parts meet N(i), and T is contact-connected iff
+    one part is left."""
+    for i in range(start, len(adj)):
+        if N >> i & 1:
             continue
-        T = chosen | {v}
-        yield T
-        # supersets stay independent only if they avoid neighbors
-        yield from _independent_sets(G, i + 1, T, blocked | G.neighbors(v))
+        merged, apart = adj[i], []
+        for part in parts:
+            if part & adj[i]:
+                merged |= part
+            else:
+                apart.append(part)
+        T_i, N_i = T | 1 << i, N | adj[i]
+        if not apart and _odd_everywhere(adj, full & ~(T_i | N_i)):
+            found.append((T_i, N_i))
+        _fundamental_masks(adj, full, i + 1, T_i, N_i, (merged, *apart), found)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _odd_everywhere(adj: list, rest: int) -> bool:
+    """True iff every component of the subgraph induced on `rest` has an odd
+    cycle. A component is bipartite iff its BFS layers from any vertex have
+    no edge inside a layer: every edge joins one layer to itself or the
+    next, and one inside a layer closes an odd cycle."""
+    while rest:
+        layer = seen = rest & -rest
+        odd = False
+        while layer:
+            reach = 0
+            for v in _bits(layer):
+                if adj[v] & layer:
+                    odd = True
+                reach |= adj[v]
+            layer = reach & rest & ~seen
+            seen |= layer
+        if not odd:
+            return False
+        rest &= ~seen
+    return True
 
 
 @per_graph
@@ -141,16 +209,42 @@ def supporting_hyperplanes(G: Graph) -> tuple:
     out = [Hyperplane(indicator(G, (v,)), "regular", vertex=v)
            for v in regular_vertices(G)]
     for F in fundamental_sets(G):
-        coeffs = tuple(n - t for n, t in zip(indicator(G, F.neighborhood),
-                                             indicator(G, F.vertices)))
+        coeffs = tuple((v in F.neighborhood) - (v in F.vertices)
+                       for v in G.vertices)
         out.append(Hyperplane(coeffs, "fundamental", sets=(F,)))
     return tuple(out)
 
 
 def cone_contains(G: Graph, x: Sequence[int]) -> bool:
-    """True iff every supporting hyperplane evaluates >= 0 on x."""
+    """True iff every supporting hyperplane evaluates >= 0 on x.
+
+    All of them are read at once: hyperplane h's value is lane h of
+    signs + sum(x_i * column_i). Every coefficient is in {-1, 0, 1}, so no
+    value exceeds sum(|x_i|) in size, and lanes whose bias is larger than
+    that never carry into each other: the test is exact for every integer
+    vector."""
     x = check_vector(G, x)
-    return all(h.value(x) >= 0 for h in supporting_hyperplanes(G))
+    width = LANE_BITS * (sum(map(abs, x)).bit_length() // LANE_BITS + 1)
+    columns, signs = _cone_columns(G, width)
+    total = signs
+    for c, column in zip(x, columns):
+        if c == 1:  # most coordinates of a query are 0 or 1
+            total += column
+        elif c:
+            total += c * column
+    return total & signs == signs
+
+
+@per_graph
+def _cone_columns(G: Graph, width: int) -> tuple:
+    # column i holds every supporting hyperplane's coefficient of x_i,
+    # hyperplane h's in lane h; `signs`, all lanes at value 0, is their
+    # bias and their top bits at once
+    hyps = supporting_hyperplanes(G)
+    signs = _lanes([0] * len(hyps), width)
+    columns = tuple(_lanes(column, width) - signs
+                    for column in zip(*(h.coefficients for h in hyps)))
+    return columns, signs
 
 
 @per_graph

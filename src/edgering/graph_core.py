@@ -11,6 +11,7 @@ triangles, spoke vertices "x1".."x{2n}", and optional pendant triangles
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Hashable, Iterable, Sequence
@@ -20,6 +21,7 @@ from .errors import (
     DimensionMismatchError,
     DisconnectedError,
     DuplicateVertexError,
+    EdgeRingError,
     EmptySetError,
     EmptySpecError,
     LoopEdgeError,
@@ -137,8 +139,16 @@ class Graph:
 
 
 def check_vector(G: Graph, x: Sequence[int]) -> tuple:
-    """x as a tuple of ints, indexed by G's vertex order."""
-    x = tuple(int(c) for c in x)
+    """x as a tuple of ints, indexed by G's vertex order. Each coordinate
+    must be an integer (an int, a bool or a numpy integer); anything else,
+    1.5 or 1.0 alike, is refused rather than truncated."""
+    x = tuple(x)
+    try:
+        x = tuple(map(operator.index, x))
+    except TypeError:
+        i = next(i for i, c in enumerate(x) if not hasattr(type(c), "__index__"))
+        raise EdgeRingError(f"coordinate {i} of the vector is {x[i]!r}, "
+                            "not an integer") from None
     if len(x) != G.dimension:
         raise DimensionMismatchError(
             f"vector length {len(x)} != graph dimension {G.dimension}"
@@ -319,7 +329,7 @@ def is_triangular_cactus(G: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# set predicates used by the fundamental-set definition
+# neighborhoods of vertex sets
 # ---------------------------------------------------------------------------
 
 def neighbors_of_set(G: Graph, T: Iterable[Vertex]) -> frozenset:
@@ -329,29 +339,6 @@ def neighbors_of_set(G: Graph, T: Iterable[Vertex]) -> frozenset:
     for v in T:
         out |= G.neighbors(v)
     return frozenset(out)
-
-
-def bipartite_induced_connected(G: Graph, T: Iterable[Vertex]) -> bool:
-    """Connectivity of the bipartite graph with parts T and N_G(T), keeping
-    only the edges of G that leave T."""
-    T = frozenset(T)
-    if not T:
-        raise EmptySetError("vertex set must be nonempty")
-    N = neighbors_of_set(G, T) - T  # raises on a label that is no vertex
-    nodes = T | N
-    start = next(iter(T))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        if u in T:
-            reach = G._adj[u] & N
-        else:
-            reach = G._adj[u] & T
-        for v in reach - seen:
-            seen.add(v)
-            stack.append(v)
-    return seen == nodes
 
 
 # ---------------------------------------------------------------------------

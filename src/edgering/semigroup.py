@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 
 from . import facets
 from .errors import EdgeRingError, MethodMismatchError
+from .facets import LANE_BITS, _lanes, _sign_bits
 from .graph_core import Graph, check_vector, indicator, per_graph
 from .lattices import IntegerLattice
 
@@ -264,23 +265,9 @@ def _semigroup_slabs(G: Graph, D: int) -> tuple:
     return tuple(slabs)
 
 
-# Method A holds hyperplane values in lanes of one int: 16 bits per value,
-# biased by 2**15, so a lane's top bit is set iff its value is >= 0. The
-# walk's values stay in [-D, D] with D <= 255, so no lane carries into the
-# next, and adding ints adds every lane at once.
-LANE_BITS = 16
-_LANE_BIAS = 1 << (LANE_BITS - 1)
-
-
-def _lanes(values: Sequence[int]) -> int:
-    """Signed values, value i biased in lane i."""
-    return sum((_LANE_BIAS + v) << LANE_BITS * i for i, v in enumerate(values))
-
-
-def _sign_bits(lanes: Iterable[int]) -> int:
-    """The top bits of the given lanes: set in a packed int iff those
-    lanes hold values >= 0."""
-    return sum(_LANE_BIAS << LANE_BITS * i for i in lanes)
+# Method A holds hyperplane values in 16-bit lanes of one int (facets'
+# `_lanes`). The walk's values stay in [-D, 2D] with D <= 255, so no lane
+# carries into the next.
 
 
 def _require_parity_lattice(G: Graph) -> None:

@@ -18,7 +18,33 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
+from edgering import build_from_edges
 from edgering.errors import DimensionMismatchError
+
+
+# ---------------------------------------------------------------- test graphs
+#
+# Non-cacti with many fundamental hyperplanes, and random connected
+# non-bipartite graphs, shared by the test modules. They are inputs, not
+# oracles: only their construction uses the library.
+
+K5 = build_from_edges(list(itertools.combinations("abcde", 2)))
+W7 = build_from_edges([("c", f"r{i}") for i in range(7)]
+                      + [(f"r{i}", f"r{(i + 1) % 7}") for i in range(7)])
+PETERSEN = build_from_edges([(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+                            + [(f"o{i}", f"i{i}") for i in range(5)]
+                            + [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)])
+
+
+def random_non_bipartite_graphs(rng, count):
+    """A triangle on 0, 1, 2, a random tree hanging off it, and random
+    chords: connected and never bipartite, on 3 to 9 vertices."""
+    for _ in range(count):
+        n = rng.randint(3, 9)
+        edges = {(0, 1), (1, 2), (0, 2)}
+        edges |= {(rng.randrange(v), v) for v in range(3, n)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2}
+        yield build_from_edges(sorted(edges))
 
 
 # ---------------------------------------------------------------- graphs

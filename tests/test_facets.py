@@ -9,6 +9,7 @@ from edgering import (
     DisconnectedError,
     Graph,
     build_from_edges,
+    build_triangular_cactus,
     cone_contains,
     face_of,
     fundamental_sets,
@@ -69,6 +70,20 @@ def test_fundamental_sets_sorted_and_consistent(t2min):
         assert not F.vertices & F.neighborhood
 
 
+def test_fundamental_sets_match_subset_oracle_beyond_fixtures(d13):
+    rng = random.Random(29)
+    graphs = [oracles.K5, oracles.W7, oracles.PETERSEN, d13,
+              *oracles.random_non_bipartite_graphs(rng, 40)]
+    for G in graphs:
+        fsets = fundamental_sets(G)
+        assert {F.vertices for F in fsets} == oracles.oracle_fundamental_sets(G), G.vertices
+        for F in fsets:
+            assert F.neighborhood == {u for a, b in G.edges for t, u in ((a, b), (b, a))
+                                      if t in F.vertices}, (G.vertices, F)
+        keys = [(len(F.vertices), tuple(sorted(map(G.index, F.vertices)))) for F in fsets]
+        assert keys == sorted(set(keys)), G.vertices
+
+
 def test_bowtie_single_vertex_fundamental_sets(bowtie):
     singles = [F for F in fundamental_sets(bowtie) if len(F.vertices) == 1]
     assert [F.vertices for F in singles] == [frozenset({"v1"})]
@@ -120,6 +135,87 @@ def test_cone_contains_matches_lp_oracle(triangle, bowtie, t1min):
         for _ in range(60):
             x = tuple(rng.randint(-2, 4) for _ in range(d))
             assert cone_contains(G, x) == oracles.oracle_cone_contains(G, x), x
+
+
+# two of the cacti the benchmark's point queries run on, d = 17 and d = 21
+QUERY_CACTI = [(4, (1, 0, 1, 0, 1, 0, 1, 0)), (5, (1, 0, 1, 0, 1, 0, 1, 0, 1, 0))]
+
+
+def _query_vectors(G, rng, count):
+    # edge sums, sums with one unit moved, odd sums, and vectors with
+    # negative coordinates, as index tuples
+    d = G.dimension
+    edges = [(G.index(u), G.index(v)) for u, v in G.edges]
+    for q in range(count):
+        x = [0] * d
+        for _ in range(rng.randint(3, 10)):
+            i, j = rng.choice(edges)
+            x[i] += 1
+            x[j] += 1
+        kind = q % 4
+        if kind == 1:
+            x[rng.choice([i for i in range(d) if x[i]])] -= 1
+            x[rng.randrange(d)] += 1
+        elif kind == 2:
+            x[rng.randrange(d)] += 1
+        elif kind == 3:
+            for _ in range(rng.randint(1, 3)):
+                x[rng.randrange(d)] -= rng.randint(1, 3)
+        yield tuple(x)
+
+
+def _vectors_of_size(G, total):
+    """Vectors x with sum(|x_i|) == total, inside and outside the cone, from
+    an edge ab whose generator some hyperplane h takes to 2, and the third
+    vertex v of its triangle. The inside one takes h to at least total - 1,
+    to total itself when total is even: on it, lanes whose bias is not
+    above total would carry."""
+    hyps = supporting_hyperplanes(G)
+    a, b = next((a, b) for a, b in G.edges
+                if any(h.value(rho_vector(G, a, b)) == 2 for h in hyps))
+    (v,) = G.neighbors(a) & G.neighbors(b)  # a cactus edge is in one triangle
+    w = next(u for u in G.vertices if u not in (a, b, v))
+
+    def vector(coords):
+        x = [0] * G.dimension
+        for u, c in coords.items():
+            x[G.index(u)] = c
+        return tuple(x)
+
+    c, odd = divmod(total, 2)
+    inside = [{a: c, b: c, v: odd}]
+    # a too heavy for its neighbors, and a negative coordinate
+    outside = [{a: c + 1, b: c - 1 + odd}, {a: c, b: c - 1 + odd, w: -1}]
+    return [vector(x) for x in inside], [vector(x) for x in outside]
+
+
+def test_cone_contains_matches_oracles_at_query_scale():
+    rng = random.Random(41)
+    for n, pendants in QUERY_CACTI:
+        G = build_triangular_cactus(triangles=n, pendants=pendants)
+        hyps = supporting_hyperplanes(G)
+        for x in _query_vectors(G, rng, 160):
+            got = cone_contains(G, x)
+            assert got == oracles.oracle_cone_contains_by_flow(G, x), (n, x)
+            assert got == all(h.value(x) >= 0 for h in hyps), (n, x)
+
+
+def test_cone_contains_exact_across_lane_widths():
+    # sums of |x_i| on both sides of each step of the lane width: 16 bits
+    # up to 2**15 - 1, 32 up to 2**31 - 1, then 48
+    for n, pendants in QUERY_CACTI:
+        G = build_triangular_cactus(triangles=n, pendants=pendants)
+        hyps = supporting_hyperplanes(G)
+        for total in (2**15 - 1, 2**15, 2**16 + 1, 2**31 - 1, 2**31):
+            inside, outside = _vectors_of_size(G, total)
+            if total % 2 == 0:
+                assert max(h.value(x) for h in hyps for x in inside) == total
+            for x in inside + outside:
+                assert sum(map(abs, x)) == total
+                want = x in inside
+                assert cone_contains(G, x) == want, (n, total, x)
+                assert oracles.oracle_cone_contains_by_flow(G, x) == want, (n, total, x)
+                assert all(h.value(x) >= 0 for h in hyps) == want, (n, total, x)
 
 
 def test_cone_rejects_negative_nonregular_coordinate(triangle):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -12,6 +13,7 @@ from edgering import (
     NotAnEdgeError,
     acceptance,
     build_from_edges,
+    cone_contains,
     decompose,
     enumerate_normalization,
     enumerate_semigroup,
@@ -42,12 +44,7 @@ from edgering.semigroup import (
 W5 = build_from_edges([("c", f"r{i}") for i in range(5)]
                       + [(f"r{i}", f"r{(i + 1) % 5}") for i in range(5)])
 # non-cacti with many fundamental hyperplanes, for method A on its own
-K5 = build_from_edges(list(itertools.combinations("abcde", 2)))
-W7 = build_from_edges([("c", f"r{i}") for i in range(7)]
-                      + [(f"r{i}", f"r{(i + 1) % 7}") for i in range(7)])
-PETERSEN = build_from_edges([(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
-                            + [(f"o{i}", f"i{i}") for i in range(5)]
-                            + [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)])
+K5, W7, PETERSEN = oracles.K5, oracles.W7, oracles.PETERSEN
 
 
 # ------------------------------------------------------------ vectors
@@ -147,6 +144,18 @@ def test_lattice_member_matches_closed_form(t2min):
         )
 
 
+@pytest.mark.parametrize("query", [cone_contains, member, decompose, lattice_member],
+                         ids=lambda f: f.__name__)
+def test_point_queries_refuse_non_integer_coordinates(triangle, query):
+    # a truncated (-0.5, 1, 1) is in the cone, (0.9, 0.9, 0) a member, and
+    # (1.5, 1.5, 0) decomposes as (1, 1, 0): none may be read that way
+    for x in ((-0.5, 1, 1), (0.9, 0.9, 0), (1.5, 1.5, 0), (1, 1.0, 0)):
+        with pytest.raises(EdgeRingError, match=r"coordinate \d+ .* not an integer"):
+            query(triangle, x)
+    # ints, bools and numpy integers are integers
+    assert query(triangle, (np.int64(1), True, 0)) == query(triangle, (1, 1, 0))
+
+
 # ------------------------------------------------------------ enumeration
 
 
@@ -210,22 +219,11 @@ def test_method_a_reconstructed_from_oracles(name, D):
         oracles.oracle_normalization(G, D))
 
 
-def _random_non_bipartite_graphs(rng, count):
-    # a triangle on 0, 1, 2, a random tree hanging off it, and random chords:
-    # connected and never bipartite
-    for _ in range(count):
-        n = rng.randint(3, 9)
-        edges = {(0, 1), (1, 2), (0, 2)}
-        edges |= {(rng.randrange(v), v) for v in range(3, n)}
-        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2}
-        yield build_from_edges(sorted(edges))
-
-
 def test_method_a_lattice_is_the_degree_parity(all_fixture_graphs):
     # method A tests a leaf against the edge lattice by its degree alone
     rng = random.Random(13)
     graphs = [*all_fixture_graphs.values(), K5, W7, PETERSEN,
-              *_random_non_bipartite_graphs(rng, 40)]
+              *oracles.random_non_bipartite_graphs(rng, 40)]
     for G in graphs:
         d = G.dimension
         L = semigroup.edge_lattice(G)
