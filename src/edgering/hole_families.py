@@ -21,10 +21,15 @@ must not count in it: a fundamental set T qualifies when w lies in N(T) and
 T's closed neighborhood misses every cycle of C (height 0 for even k, 1 for
 odd), and on Type 1 (hub regular) so does the hub facet x_w >= 0.
 
-This is checked, not proven: a sweep of every class with d <= 17 and at most
-3 pendants per spoke found the union equal to the holes at D = 10 (d <= 13
-also at 12), with every family of dimension d - 1. It did not cover spokes
-with 4 or more pendants, or k = 5 (d >= 21, shift degree 16).
+Points. Every family point is a hole, at every degree: a lattice
+certificate per family (`_certify`) proves that the family holds no
+semigroup point, so its points are read from the holes. Only the other
+direction, that the families cover every hole, is checked, up to the
+truncation degree D. It is not proven: a sweep of every class with d <= 17
+and at most 3 pendants per spoke found the union equal to the holes at
+D = 10 (d <= 13 also at 12), with every family of dimension d - 1. It did
+not cover spokes with 4 or more pendants, or k = 5 (d >= 21, shift degree
+16).
 """
 
 from __future__ import annotations
@@ -51,9 +56,8 @@ from .exceptional import (
 from .graph_core import Graph, indicator, per_graph
 from .semigroup import (
     MAX_PACKED_DEGREE,
-    _slices,
-    _unpack_all,
     count_by_degree,
+    generators,
     graded_sorted,
     holes,
     vector_degree,
@@ -207,8 +211,10 @@ class HoleFamily:
 
     def points(self, G: Graph, D: int) -> frozenset:
         """The points x of the degree-D normalization whose difference
-        x - shift lies in the facet's lattice, cached on G, so family points
-        and holes share one enumeration and one representation."""
+        x - shift lies in the facet's lattice, cached on G. They are read
+        from the holes once the family's certificate proves it holds no
+        semigroup point; a failed certificate raises
+        DecompositionMismatchError naming the witness."""
         self._require_built_for(G)
         return _family_points(G, D)[self]
 
@@ -239,30 +245,64 @@ class HoleFamily:
 
 @per_graph
 def _family_points(G: Graph, D: int) -> dict:
-    # every family's points at degree D. The face lattice lies in the
-    # facet's hyperplane H = 0, so x - shift can be in it only if
-    # H(x) = H(shift): each facet's slices of N_D at its families' heights
-    # are built once, tested packed and not kept; only the points a family
-    # keeps are unpacked
-    on_facet: dict[facets_mod.Hyperplane, list] = {}
-    for hf in _families(G):
-        on_facet.setdefault(hf.facet, []).append(hf)
+    # every family's points at degree D. Once its certificate shows that a
+    # family holds no semigroup point, its points in N_D are exactly the
+    # holes in it; the face lattice lies in the facet's hyperplane H = 0, so
+    # a hole can be in it only at the shift's height
+    hole_set = holes(G, D)
     points = {}
-    for facet, families in on_facet.items():
-        heights = {hf: facet.value(hf.shift) for hf in families}
-        slices = _slices(G, D, facet.coefficients, frozenset(heights.values()))
-        for hf, height in heights.items():
-            inside = hf.face.lattice.packed_test(hf.shift)
-            points[hf] = _unpack_all(filter(inside, slices[height]), G.dimension)
+    for hf in _families(G):
+        height = _certify(G, hf)
+        points[hf] = frozenset(
+            x for x in hole_set
+            if hf.facet.value(x) == height and _in_family(hf, x)
+        )
     return points
+
+
+def _in_family(hf: HoleFamily, x) -> bool:
+    return hf.face.lattice.contains([a - b for a, b in zip(x, hf.shift)])
+
+
+def _certify(G: Graph, hf: HoleFamily) -> int:
+    """Prove that the family holds no semigroup point at any degree, and
+    return its shift's height H(q) on its facet H.
+
+    Every edge has H(e) >= 0 and the face lattice L_F lies in H = 0, so a
+    semigroup point x in the family has H(x) = H(q). At height 0 it uses
+    face edges only, so x lies in 0 + L_F; at height 1 it is one edge e with
+    H(e) = 1 plus face edges, so x lies in e + L_F. The family is free of
+    semigroup points iff none of these low-degree witnesses (0, or each
+    such e) is in it. A witness in it is a family point that is no hole,
+    and raises DecompositionMismatchError.
+    """
+    H = hf.facet
+    height = H.value(hf.shift)
+    if height == 0:
+        witnesses = [(0,) * G.dimension]
+    elif height == 1:
+        witnesses = [e for e in generators(G) if H.value(e) == 1]
+    else:
+        raise PreconditionViolatedError(
+            f"a family's shift must lie at height 0 or 1 on its facet, not {height}"
+        )
+    for w in witnesses:
+        if _in_family(hf, w):
+            raise DecompositionMismatchError({
+                "family": hf.as_json(G),
+                "holes_not_covered": [],
+                "family_points_not_holes": [list(w)],
+                "passed": False,
+            })
+    return height
 
 
 def hole_decomposition(G: Graph, D: int | None = None) -> tuple:
     """The predicted families: for every exceptional cycle set, one family
     per admissible fundamental set, plus the hub facet family when
     the hub is regular (Type 1). The families are built once per graph;
-    passing D also computes every family's points at degree D, in one
-    pass per facet."""
+    passing D also computes every family's points at degree D, certifying
+    each family and filtering the holes."""
     families = _families(G)
     if D is not None:
         _family_points(G, D)
@@ -329,7 +369,8 @@ def default_truncation(G: Graph) -> int:
     triangles, 8 otherwise; capped by EDGERING_MAX_DEGREE (default 12). It
     need not reach a larger cycle set's shift (3k, plus 1 for odd k): the
     odd set of n = 3 has degree 10 and the four-cycle set of n = 4 has 12.
-    Such a family is checked only on its points below the shift's degree."""
+    Such a family's certificate still holds at every degree, but whether the
+    families cover the holes is checked only up to the bound."""
     cap = degree_cap()
     ct = classify(G)
     if ct.tag in (TYPE1, TYPE2):

@@ -6,17 +6,11 @@ keeps only the column operations V. A vector x lies in the row span of M iff
 (x·V)_i ≡ 0 (mod |s_i|) for each nonzero diagonal entry s_i and (x·V)_i = 0
 beyond the rank, so membership is a few dot products. All arithmetic is on
 Python ints, so there is no overflow to guard against.
-
-`packed_test` compiles the same congruences once into a test on vectors
-packed one byte per coordinate (the enumerations' representation, see
-`semigroup`): each dot product is read from masked byte sums, so hole
-families test packed points without unpacking them. `contains` stays the
-definition, and the tests check the packed test against it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
 
@@ -91,36 +85,3 @@ class IntegerLattice:
             if (s % m if m else s):
                 return False
         return True
-
-    def packed_test(self, shift: Sequence[int] | None = None) -> Callable[[int], bool]:
-        """Membership of x - shift, for x packed one byte per coordinate
-        (coordinate j in byte j) with coordinate sum at most 255.
-
-        Each congruence (f, m) gets one byte mask per distinct coefficient c,
-        so f·x = sum of c·s_c, where s_c, the sum of x's bytes under c's mask,
-        is byte d - 1 of the masked int times 1 + 256 + ... + 256**(d-1); no
-        partial sum exceeds 255, so no byte carries. The shift enters as f·x
-        compared with f·shift, reduced mod m once, so no byte goes negative.
-        """
-        d = self.dimension
-        q = (0,) * d if shift is None else self._check(shift)
-        ones = int.from_bytes(b"\x01" * d, "little")
-        top = 8 * (d - 1)
-        rows = []
-        for f, m in self.congruences:
-            masks: dict[int, int] = {}
-            for j, c in f:
-                masks[c] = masks.get(c, 0) | 255 << 8 * j
-            target = sum(q[j] * c for j, c in f)
-            rows.append((tuple(masks.items()), m, target % m if m else target))
-
-        def test(n: int) -> bool:
-            for masks, m, target in rows:
-                s = 0
-                for c, mask in masks:
-                    s += c * ((n & mask) * ones >> top & 255)
-                if (s % m if m else s) != target:
-                    return False
-            return True
-
-        return test

@@ -16,11 +16,6 @@ exactly sum(x) ≡ 0 (mod 2), and the last coordinate then takes only the
 values that make the degree even, two units at a time, inside the loop of
 the column before it. (B) closes the slabs of S_D under adding the
 cycle-pair vectors that, with the generators, generate the normalization.
-`_slices` picks out the points of the packed N_D at the few values of one
-{-1, 0, 1} facet functional that hole families read, computed from masked
-byte sums. It is not cached: the slices are temporaries of one pass over a
-facet's families, each of which tests its slice still packed and unpacks
-only the points it keeps.
 """
 
 from __future__ import annotations
@@ -208,24 +203,6 @@ def holes(G: Graph, D: int) -> frozenset:
     """Normalization elements of degree <= D that are not in the semigroup."""
     gap = _normalization(G, D).difference(*_semigroup_slabs(G, D))
     return _unpack_all(gap, G.dimension)
-
-
-def _slices(G: Graph, D: int, coefficients: tuple, heights: frozenset) -> dict:
-    # the points of the packed N_D at the given heights coefficients·x, one
-    # list per height; the others are dropped. Masking the +1 (or -1) bytes
-    # and multiplying by 1 + 256 + ... + 256**(d-1) sums those bytes into
-    # byte d-1; no byte sum exceeds D <= 255, so nothing carries
-    d = G.dimension
-    ones = _pack((1,) * d)
-    plus = _pack([255 * (c > 0) for c in coefficients])
-    minus = _pack([255 * (c < 0) for c in coefficients])
-    top = 8 * (d - 1)
-    buckets: dict[int, list] = {h: [] for h in heights}
-    for n in _normalization(G, D):
-        value = ((n & plus) * ones >> top & 255) - ((n & minus) * ones >> top & 255)
-        if value in buckets:
-            buckets[value].append(n)
-    return buckets
 
 
 def hole_report(G: Graph, D: int) -> list[tuple]:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -22,6 +23,7 @@ from edgering import (
     classify,
     cone_contains,
     default_truncation,
+    enumerate_semigroup,
     exceptional_families,
     exceptional_pairs,
     hole_decomposition,
@@ -35,7 +37,9 @@ from edgering import (
     semigroup,
     verify_decomposition,
 )
+from edgering.cli import main
 from edgering.fixtures import load
+from edgering.io import format_graph_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -240,7 +244,8 @@ def test_family_points_are_holes(t1min, t2min):
             )
 
 
-@pytest.mark.parametrize("name, D", [("d13", 10), ("d13", 12), ("cact4a", 10)])
+@pytest.mark.parametrize("name, D", [("d13", 10), ("d13", 12), ("cact4a", 10),
+                                     ("cact4b", 10)])
 def test_verify_decomposition_covers_odd_cycle_sets(request, name, D):
     # before the odd sets, P_i + P_j + P_k + e_w went uncovered on these
     G = request.getfixturevalue(name)
@@ -399,9 +404,8 @@ def test_family_points_are_cached_on_the_graph(t1min):
     (hf,) = hole_decomposition(t1min)
     pts = hf.points(t1min, 8)
     assert hf.points(t1min, 8) is pts
-    # d13, built fresh so no other test has filled its cache: 13 families on
-    # 10 facets. One map per degree holds every family's points, and no
-    # facet slice of N_D outlives the pass that read it
+    # d13, built fresh so no other test has filled its cache: 13 families.
+    # One map per degree holds every family's points
     G = build_triangular_cactus(triangles=3, pendants=(1, 0, 1, 0, 1, 0))
     assert s2_verdict(G, 8)["s2"] is True
     families = hole_decomposition(G)
@@ -411,7 +415,6 @@ def test_family_points_are_cached_on_the_graph(t1min):
         assert all(hf.points(G, D) is by_family[hf] for hf in families)
     cached = [key[0].__name__ for key in G._cache]
     assert cached.count("_family_points") == 2
-    assert "_slices" not in cached
 
 
 # cact4a (d = 15, 26 families) stands for the 4-triangle class, at the one
@@ -423,14 +426,64 @@ _SCAN_CASES.append(("cact4a", 8))
 @pytest.mark.parametrize("name, D", _SCAN_CASES,
                          ids=[f"{D}-{name}" for name, D in _SCAN_CASES])
 def test_family_points_match_the_full_scan(request, name, D):
-    # points come from one facet slice of N_D, tested packed; the oracle
-    # scans all of it with `contains`. d13 has an odd cycle set, whose shift
-    # has degree 10
+    # points are read from the holes behind each family's certificate; the
+    # oracle scans all of N_D with `contains`. d13 has an odd cycle set,
+    # whose shift has degree 10
     G = request.getfixturevalue(name)
     families = hole_decomposition(G)
     assert families
     for hf in families:
         assert hf.points(G, D) == oracles.oracle_family_points(G, hf, D)
+
+
+@pytest.mark.parametrize("name, D", [("t1min", 10), ("t2min", 10), ("d13", 10),
+                                     ("cact4a", 8)])
+def test_no_family_holds_a_semigroup_point(request, name, D):
+    # what each family's certificate proves at every degree, checked on S_D
+    # itself: no semigroup point x has x - shift in the family's face lattice
+    G = request.getfixturevalue(name)
+    S = enumerate_semigroup(G, D)
+    for hf in hole_decomposition(G):
+        L = hf.face.lattice
+        assert not [x for x in S if L.contains([a - b for a, b in zip(x, hf.shift)])]
+
+
+@pytest.mark.parametrize("odd", [False, True], ids=["height0", "height1"])
+def test_failed_certificate_is_loud(monkeypatch, tmp_path, capsys, odd):
+    # a family whose shift is moved into the coset of a semigroup point: into
+    # L_F itself (height 0, witness 0) or into e + L_F for an edge e with
+    # H(e) = 1 (height 1, witness e). Filtering the holes would silently drop
+    # the witness from the union, so reading the points must raise
+    G = build_triangular_cactus(triangles=3, pendants=(1, 0, 1, 0, 1, 0))
+    hf = next(hf for hf in hole_decomposition(G) if (hf.family.hub is not None) == odd)
+    face_edge = semigroup.rho_vector(G, *hf.face.edges[0])
+    if odd:
+        witness = next(e for e in semigroup.generators(G) if hf.facet.value(e) == 1)
+    else:
+        witness = (0,) * G.dimension
+    bad = dataclasses.replace(hf, shift=tuple(a + b for a, b in zip(witness, face_edge)))
+    monkeypatch.setattr(hole_families, "_families", lambda G: (bad,))
+    with pytest.raises(DecompositionMismatchError) as info:
+        verify_decomposition(G, 8)
+    assert info.value.report["family_points_not_holes"] == [list(witness)]
+    assert info.value.report["holes_not_covered"] == []
+
+    graph = tmp_path / "d13.graph"
+    graph.write_text(format_graph_text(G))
+    assert main(["analyze", str(graph), "--degree", "8", "--max-d", "13"]) == 3
+    assert "1 family points that are not holes" in capsys.readouterr().err
+
+
+def test_certificate_refuses_a_shift_at_another_height(monkeypatch):
+    # heights 0 and 1 are the only ones the certificate covers
+    G = build_triangular_cactus(triangles=2, pendants=(1, 0, 1, 0))
+    (hf,) = hole_decomposition(G)
+    w = G.index("w")
+    shift = tuple(c + 2 * (j == w) for j, c in enumerate(hf.shift))
+    bad = dataclasses.replace(hf, shift=shift)
+    monkeypatch.setattr(hole_families, "_families", lambda G: (bad,))
+    with pytest.raises(PreconditionViolatedError, match="height 0 or 1"):
+        bad.points(G, 8)
 
 
 def test_family_refuses_a_graph_it_was_not_built_for(t1min, t2min, bowtie):

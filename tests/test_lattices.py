@@ -6,7 +6,7 @@ import pytest
 import oracles
 from edgering import DimensionMismatchError, IntegerLattice
 from edgering.facets import face_of, supporting_hyperplanes
-from edgering.semigroup import _pack, edge_lattice, generators, rho_vector
+from edgering.semigroup import edge_lattice, generators, rho_vector
 
 
 def _box(d, r):
@@ -160,77 +160,3 @@ def test_edge_lattice_bipartite_closed_form():
         for _ in range(200):
             x = tuple(rng.randint(-3, 3) for _ in range(d))
             assert L.contains(x) == oracles.oracle_lattice_member(G, x), x
-
-
-def _packed_probes(rng, d, count):
-    """Nonnegative vectors of degree <= 255, the packed test's domain: one
-    coordinate at 255, a sum of exactly 255, and random ones."""
-    out = [tuple(255 * (k == j) for k in range(d)) for j in range(d)]
-    for _ in range(count):
-        total = rng.choice((255, rng.randint(0, 255), rng.randint(0, 12)))
-        cuts = sorted(rng.randint(0, total) for _ in range(d - 1))
-        out.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [total])))
-    return out
-
-
-def _assert_packed_test_agrees(L, probes, shift, where) -> set:
-    """The answers seen, after checking each against `contains`."""
-    test = L.packed_test(shift)
-    q = shift or (0,) * L.dimension
-    answers = set()
-    for x in probes:
-        assert min(x, default=0) >= 0 and sum(x) <= 255, x  # the packed domain
-        want = L.contains([a - b for a, b in zip(x, q)])
-        assert test(_pack(x)) == want, (where, x)
-        answers.add(want)
-    return answers
-
-
-def test_packed_test_agrees_with_contains(all_fixture_graphs):
-    """The packed test is `contains` on x - shift: on random lattices with
-    equality rows whose coefficients are not ±1 and with moduli >= 3, on
-    every fixture's edge and face lattices and on a bipartite edge lattice,
-    for box vectors up to coordinate and degree 255."""
-    from edgering import build_from_edges
-
-    rng = random.Random(17)
-    rows, answers = set(), set()
-    for _ in range(300):
-        d = rng.randint(0, 6)
-        # at most d small nonnegative generators: rank-deficient lattices
-        # with varied congruences, whose 0/1 combinations plus the shift
-        # are probes of degree at most 6 * (3 + 6 * 4) + 1 <= 255
-        gens = [tuple(rng.randint(0, 4) for _ in range(d))
-                for _ in range(rng.randint(0, d))]
-        L = IntegerLattice(d, gens)
-        for f, m in L.congruences:
-            if m == 0 and any(abs(c) > 1 for _, c in f):
-                rows.add("equality beyond ±1")
-            if m >= 3:
-                rows.add("modulus >= 3")
-        shift = tuple(rng.randint(0, 3) for _ in range(d))
-        probes = _packed_probes(rng, d, 10)
-        for _ in range(10):
-            y = [s + sum(rng.randint(0, 1) * g[k] for g in gens)
-                 for k, s in enumerate(shift)]
-            probes.append(tuple(y))
-            if d:
-                y[rng.randrange(d)] += 1
-                probes.append(tuple(y))
-        for s in (None, shift):
-            answers |= _assert_packed_test_agrees(L, probes, s, gens)
-    assert rows == {"equality beyond ±1", "modulus >= 3"}
-    assert answers == {True, False}
-
-    square = build_from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-    graphs = dict(all_fixture_graphs, square=square)
-    for name, G in graphs.items():
-        d = G.dimension
-        probes = _packed_probes(rng, d, 30)
-        shift = tuple(rng.randint(0, 1) for _ in range(d))
-        lattices = [edge_lattice(G)]
-        if name != "square":  # the facet layer refuses a bipartite graph
-            lattices += [face_of(G, H).lattice for H in supporting_hyperplanes(G)]
-        for L in lattices:
-            for s in (None, shift):
-                _assert_packed_test_agrees(L, probes, s, name)
