@@ -67,9 +67,7 @@ def pair_vector(G: Graph, pair: ExceptionalPair) -> tuple:
 def is_exceptional(G: Graph, a: Cycle, b: Cycle) -> bool:
     """Vertex-disjoint and no bridge edge from one cycle to the other."""
     va, vb = a.vertex_set, b.vertex_set
-    if va & vb:
-        return False
-    return not any(G._adj[u] & vb for u in va)
+    return va.isdisjoint(vb) and neighbors_of_set(G, va).isdisjoint(vb)
 
 
 @per_graph
@@ -143,7 +141,7 @@ def lemma_edge_augment(G: Graph, P: ExceptionalPair, edge) -> bool:
     u, v = edge
     if not G.has_edge(u, v):
         raise NotAnEdgeError(f"{{{u!r}, {v!r}}} is not an edge")
-    reach = P.vertex_set | neighbors_of_set(G, P.vertex_set)
+    reach = _closed_reach(G, P)
     if u == w:
         return v in reach
     if v == w:
@@ -164,7 +162,7 @@ def lemma_double_w_edge(G: Graph, P: ExceptionalPair, u, v) -> bool:
     true iff {u, v} is an edge."""
     w = require_diameter4_cactus(G)
     _require_pair(G, P)
-    reach = P.vertex_set | neighbors_of_set(G, P.vertex_set)
+    reach = _closed_reach(G, P)
     for end in (u, v):
         if not G.has_edge(end, w):
             raise PreconditionViolatedError(f"{end!r} is not adjacent to the hub")
@@ -216,7 +214,7 @@ def double_w_edge_cases(G: Graph):
     w = require_diameter4_cactus(G)
     spokes = sorted(G.neighbors(w), key=G.index)
     for P in exceptional_pairs(G):
-        reach = P.vertex_set | neighbors_of_set(G, P.vertex_set)
+        reach = _closed_reach(G, P)
         ok = [u for u in spokes if u not in reach]
         for u, v in itertools.combinations_with_replacement(ok, 2):
             vec = lemma_double_w_edge_vector(G, P, u, v)
@@ -241,6 +239,11 @@ def _report(G: Graph, lemma: str, inputs: dict, closed_form: bool, vec: tuple) -
         "witness": [list(map(str, e)) for e in witness] if witness else None,
         "agree": closed_form == oracle,
     }
+
+
+def _closed_reach(G: Graph, P: ExceptionalPair) -> frozenset:
+    """The pair's vertices and every vertex adjacent to one of them."""
+    return P.vertex_set | neighbors_of_set(G, P.vertex_set)
 
 
 def _add(a: Iterable[int], b: Iterable[int]) -> tuple:

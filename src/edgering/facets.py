@@ -16,10 +16,11 @@ from typing import Iterable, Sequence
 from .errors import BipartiteGraphError
 from .graph_core import (
     Graph,
+    adjacency_masks,
+    bits,
     check_vector,
-    components,
-    has_odd_cycle,
     indicator,
+    odd_everywhere,
     per_graph,
     require_connected,
 )
@@ -107,14 +108,11 @@ def regular_vertices(G: Graph) -> tuple:
     """All vertices whose deletion leaves only components containing an odd
     cycle, in vertex order."""
     require_connected(G)
-    if not has_odd_cycle(G):
+    adj, full = adjacency_masks(G), (1 << G.dimension) - 1
+    if not odd_everywhere(adj, full):
         raise BipartiteGraphError("regular vertices need at least one odd cycle")
-    out = []
-    for v in G.vertices:
-        comps = components(G, without=(v,))
-        if all(has_odd_cycle(G, c) for c in comps):
-            out.append(v)
-    return tuple(out)
+    return tuple(v for i, v in enumerate(G.vertices)
+                 if odd_everywhere(adj, full & ~(1 << i)))
 
 
 @per_graph
@@ -122,28 +120,26 @@ def fundamental_sets(G: Graph) -> tuple:
     """Every fundamental set, enumerated exhaustively over independent sets,
     sorted by (size, vertex indices)."""
     require_connected(G)
-    adj = [sum(1 << G.index(u) for u in G.neighbors(v)) for v in G.vertices]
     found: list = []
-    _fundamental_masks(adj, (1 << G.dimension) - 1, 0, 0, 0, (), found)
+    _fundamental_masks(adjacency_masks(G), (1 << G.dimension) - 1, 0, 0, 0, (), found)
 
     def members(mask: int) -> frozenset:
         # frozenset of a set, not of a generator: copying a set sizes the
         # table to fit, where growing one from a generator can leave it
         # half empty, and the facet list keeps thousands of these
-        return frozenset({G.vertices[i] for i in _bits(mask)})
+        return frozenset({G.vertices[i] for i in bits(mask)})
 
     out = [FundamentalSet(members(T), members(N)) for T, N in found]
     out.sort(key=lambda F: F.sort_key(G))
     return tuple(out)
 
 
-# fundamental_sets works on vertex sets as bitmasks, vertex i in bit i, with
-# adj[i] the mask of i's neighbors. These helpers take the masks, not G, and
-# live at module level: a recursive closure over G would be a reference
-# cycle holding G, and everything cached on it, until the cycle collector
-# runs.
+# fundamental_sets walks vertex sets as bitmasks against the neighbour masks
+# of graph_core.adjacency_masks. The walk takes the masks, not G, and lives
+# at module level: a recursive closure over G would be a reference cycle
+# holding G, and everything cached on it, until the cycle collector runs.
 
-def _fundamental_masks(adj: list, full: int, start: int, T: int, N: int,
+def _fundamental_masks(adj: Sequence[int], full: int, start: int, T: int, N: int,
                        parts: tuple, found: list) -> None:
     """Append (T, N(T)) for every fundamental set that extends the
     independent set T by vertices of index `start` or later, depth first.
@@ -164,38 +160,9 @@ def _fundamental_masks(adj: list, full: int, start: int, T: int, N: int,
             else:
                 apart.append(part)
         T_i, N_i = T | 1 << i, N | adj[i]
-        if not apart and _odd_everywhere(adj, full & ~(T_i | N_i)):
+        if not apart and odd_everywhere(adj, full & ~(T_i | N_i)):
             found.append((T_i, N_i))
         _fundamental_masks(adj, full, i + 1, T_i, N_i, (merged, *apart), found)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _odd_everywhere(adj: list, rest: int) -> bool:
-    """True iff every component of the subgraph induced on `rest` has an odd
-    cycle. A component is bipartite iff its BFS layers from any vertex have
-    no edge inside a layer: every edge joins one layer to itself or the
-    next, and one inside a layer closes an odd cycle."""
-    while rest:
-        layer = seen = rest & -rest
-        odd = False
-        while layer:
-            reach = 0
-            for v in _bits(layer):
-                if adj[v] & layer:
-                    odd = True
-                reach |= adj[v]
-            layer = reach & rest & ~seen
-            seen |= layer
-        if not odd:
-            return False
-        rest &= ~seen
-    return True
 
 
 @per_graph

@@ -6,6 +6,11 @@ so that order is fixed at construction and never changes. The triangular
 cactus builder produces the canonical test family: a hub vertex "w" on n
 triangles, spoke vertices "x1".."x{2n}", and optional pendant triangles
 "y{i}_{k}" hanging off each spoke.
+
+Traversals read vertex sets as bitmasks, vertex i in bit i, against one
+per-graph table `adjacency_masks(G)` of neighbour masks; one breadth-first
+sweep, `_sweep`, serves components, connectivity, eccentricities and the
+odd-cycle test.
 """
 
 from __future__ import annotations
@@ -210,22 +215,23 @@ def minimal_odd_cycles(G: Graph) -> tuple[Cycle, ...]:
     For a triangular cactus these are the blocks. Sorted by (length, vertex
     indices) so downstream pair enumeration is deterministic.
     """
-    adj, ix = G._adj, G._index
+    adj, full = adjacency_masks(G), (1 << G.dimension) - 1
     found = []
-    for i, s in enumerate(G.vertices):
-        later = frozenset(G.vertices[i + 1:])
-        stack = [(s, a) for a in adj[s] & later]
+    for s in range(G.dimension):
+        later = full & ~((2 << s) - 1)
+        stack = [((s, a), 1 << s | 1 << a) for a in bits(adj[s] & later)]
         while stack:
-            path = stack.pop()
-            for v in (adj[path[-1]] & later).difference(path):
-                if not adj[v].isdisjoint(path[1:-1]):
+            path, on = stack.pop()
+            inner = on & ~(1 << s | 1 << path[-1])
+            for v in bits(adj[path[-1]] & later & ~on):
+                if adj[v] & inner:
                     continue  # a chord
-                if s not in adj[v]:
-                    stack.append(path + (v,))
-                elif len(path) % 2 == 0 and ix[path[1]] < ix[v]:
-                    found.append(Cycle(path + (v,)))
-    found.sort(key=lambda c: (c.length, tuple(G.index(v) for v in c.vertices)))
-    return tuple(found)
+                if not adj[s] >> v & 1:
+                    stack.append((path + (v,), on | 1 << v))
+                elif len(path) % 2 == 0 and path[1] < v:
+                    found.append(path + (v,))
+    found.sort(key=lambda path: (len(path), path))
+    return tuple(Cycle(tuple(G.vertices[i] for i in path)) for path in found)
 
 
 # ---------------------------------------------------------------------------
@@ -249,63 +255,23 @@ def diameter(G: Graph) -> int:
 def eccentricities(G: Graph) -> MappingProxyType:
     """Vertex -> eccentricity, one breadth-first sweep each; read-only, as shared."""
     require_connected(G)
-    ecc = {}
-    for s in G.vertices:
-        seen = frontier = {s}
-        radius = 0
-        while frontier := {v for u in frontier for v in G._adj[u]} - seen:
-            seen |= frontier
-            radius += 1
-        ecc[s] = radius
-    return MappingProxyType(ecc)
+    adj, full = adjacency_masks(G), (1 << G.dimension) - 1
+    return MappingProxyType({v: _sweep(adj, 1 << i, full)[1]
+                             for i, v in enumerate(G.vertices)})
 
 
-def components(G: Graph, within: Iterable[Vertex] | None = None,
-               without: Iterable[Vertex] = ()) -> tuple[frozenset, ...]:
-    """Vertex sets of the connected components of the induced subgraph on
-    `within` (default: all vertices) minus `without`, ordered by smallest
-    vertex index."""
-    keep = set(G.vertices if within is None else within) - set(without)
-    seen: set = set()
+def components(G: Graph, without: Iterable[Vertex] = ()) -> tuple[frozenset, ...]:
+    """Vertex sets of the connected components of G minus `without`,
+    ordered by smallest vertex index."""
+    adj, rest = adjacency_masks(G), (1 << G.dimension) - 1
+    for v in without:
+        rest &= ~(1 << G.index(v))
     comps = []
-    for start in G.vertices:
-        if start not in keep or start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            if u in comp:
-                continue
-            comp.add(u)
-            stack.extend((G._adj[u] & keep) - comp)
-        seen |= comp
-        comps.append(frozenset(comp))
+    while rest:
+        comp = _sweep(adj, rest & -rest, rest)[0]
+        comps.append(frozenset(G.vertices[i] for i in bits(comp)))
+        rest &= ~comp
     return tuple(comps)
-
-
-def has_odd_cycle(G: Graph, within: Iterable[Vertex] | None = None) -> bool:
-    """True iff the induced subgraph on `within` is not bipartite.
-
-    Classical equivalence: a graph has an odd cycle iff it is not
-    2-colorable, so this is a plain BFS 2-coloring.
-    """
-    keep = set(G.vertices if within is None else within)
-    color: dict = {}
-    for start in keep:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in G._adj[u] & keep:
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return True
-    return False
 
 
 def cutpoints(G: Graph) -> frozenset:
@@ -323,9 +289,70 @@ def is_triangular_cactus(G: Graph) -> bool:
     triangle, which leaves no room for a larger block. Conversely a cactus
     of t triangles has 3t edges and 2t + 1 vertices."""
     require_connected(G)
-    adj = G._adj
+    adj = adjacency_masks(G)
     return (0 < 2 * G.edge_count == 3 * (G.dimension - 1)
-            and all(len(adj[u] & adj[v]) == 1 for u, v in G.edges))
+            and all((adj[G.index(u)] & adj[G.index(v)]).bit_count() == 1
+                    for u, v in G.edges))
+
+
+# ---------------------------------------------------------------------------
+# bitmask traversal
+# ---------------------------------------------------------------------------
+
+@per_graph
+def adjacency_masks(G: Graph) -> tuple:
+    """Entry i is the bitmask of vertex i's neighbours, vertex j in bit j."""
+    adj = [0] * G.dimension
+    for u, v in G.edges:
+        i, j = G.index(u), G.index(v)
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(adj)
+
+
+def bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _sweep(adj: Sequence[int], start: int, rest: int) -> tuple[int, int, bool]:
+    """Breadth-first sweep from the vertices of mask `start` through the
+    subgraph induced on `rest`, layer by layer. Returns the mask of all it
+    reached, the number of layers after the first, and whether an edge lies
+    inside a layer."""
+    layer = seen = start
+    depth, inside = -1, False
+    while layer:
+        # the layer's bits walked inline: through the `bits` generator, the
+        # odd tests of the fundamental-set walk ran about a quarter slower
+        reach, todo = 0, layer
+        while todo:
+            low = todo & -todo
+            a = adj[low.bit_length() - 1]
+            if a & layer:
+                inside = True
+            reach |= a
+            todo ^= low
+        layer = reach & rest & ~seen
+        seen |= layer
+        depth += 1
+    return seen, depth, inside
+
+
+def odd_everywhere(adj: Sequence[int], rest: int) -> bool:
+    """True iff every component of the subgraph induced on `rest` has an odd
+    cycle. A component is bipartite iff its breadth-first layers from any
+    vertex have no edge inside a layer: every edge joins one layer to itself
+    or the next, and one inside a layer closes an odd cycle."""
+    while rest:
+        seen, _, odd = _sweep(adj, rest & -rest, rest)
+        if not odd:
+            return False
+        rest &= ~seen
+    return True
 
 
 # ---------------------------------------------------------------------------

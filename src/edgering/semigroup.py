@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 from . import facets
 from .errors import EdgeRingError, MethodMismatchError
-from .facets import LANE_BITS, _lanes, _sign_bits
+from .facets import _lanes, _sign_bits
 from .graph_core import Graph, check_vector, indicator, per_graph
 from .lattices import IntegerLattice
 

@@ -24,7 +24,12 @@ from edgering.semigroup import enumerate_semigroup, rho_vector
 
 
 def test_regular_vertices_match_definition_oracle(all_fixture_graphs):
-    for name, G in all_fixture_graphs.items():
+    rng = random.Random(31)
+    graphs = {**all_fixture_graphs, "K5": oracles.K5, "W7": oracles.W7,
+              "Petersen": oracles.PETERSEN,
+              **{f"random{k}": G for k, G in
+                 enumerate(oracles.random_non_bipartite_graphs(rng, 40))}}
+    for name, G in graphs.items():
         assert set(regular_vertices(G)) == oracles.oracle_regular_vertices(G), name
 
 

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from edgering import (
     AmbiguousCenterError,
+    BipartiteGraphError,
     CactusSpec,
     Cycle,
     DimensionMismatchError,
@@ -21,14 +22,16 @@ from edgering import (
     hub_vertex,
     is_triangular_cactus,
     minimal_odd_cycles,
+    regular_vertices,
 )
 from edgering.graph_core import (
+    adjacency_masks,
     components,
     cutpoints,
     eccentricities,
-    has_odd_cycle,
     is_connected,
     neighbors_of_set,
+    odd_everywhere,
 )
 
 
@@ -167,9 +170,12 @@ def test_bipartite_detection():
     path = build_from_edges([("a", "b"), ("b", "c")])
     even = build_from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     odd = build_from_edges([("a", "b"), ("b", "c"), ("c", "a")])
-    assert not has_odd_cycle(path)
-    assert not has_odd_cycle(even)
-    assert has_odd_cycle(odd)
+    for G, want in ((path, False), (even, False), (odd, True)):
+        assert odd_everywhere(adjacency_masks(G), (1 << G.dimension) - 1) is want
+    # an odd cycle in one component does not make the other one odd
+    both = Graph("abcdef", [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e")])
+    assert not odd_everywhere(adjacency_masks(both), 0b111111)
+    assert odd_everywhere(adjacency_masks(both), 0b000111)
 
 
 def test_cutpoints_match_removal_oracle(all_fixture_graphs):
@@ -206,6 +212,11 @@ def _labelled_graphs(max_n):
 
 def _assert_primitives_match_oracles(G):
     assert is_connected(G) == oracles.oracle_connected(G)
+    for v in G.vertices:
+        rest = [u for u in G.vertices if u != v]
+        edges = [(a, b) for a, b in G.edges if v not in (a, b)]
+        assert list(components(G, without=(v,))) == [
+            frozenset(c) for c in oracles._components_of(rest, edges)]
     if not is_connected(G):
         for fn in (diameter, eccentricities, cutpoints, is_triangular_cactus):
             with pytest.raises(DisconnectedError):
@@ -223,6 +234,11 @@ def _assert_primitives_match_oracles(G):
     assert dict(eccentricities(G)) == oracles.oracle_eccentricities(G)
     assert diameter(G) == oracles.oracle_diameter(G)
     assert is_triangular_cactus(G) == oracles.oracle_is_triangular_cactus(G)
+    if oracles.oracle_is_bipartite_subset(G, G.vertices):
+        with pytest.raises(BipartiteGraphError):
+            regular_vertices(G)
+    else:
+        assert set(regular_vertices(G)) == oracles.oracle_regular_vertices(G)
 
 
 def test_primitives_match_oracles_on_all_small_graphs():

@@ -28,13 +28,11 @@ from edgering import (
     vector_degree,
 )
 from edgering import semigroup
+from edgering.facets import LANE_BITS, _lanes, _sign_bits
 from edgering.fixtures import build, load
 from edgering.semigroup import (
-    LANE_BITS,
     _enumerate_by_inequalities,
-    _lanes,
     _pack,
-    _sign_bits,
     _unpack,
     graded_sorted,
 )
