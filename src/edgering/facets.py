@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 from .errors import BipartiteGraphError
 from .graph_core import (
     Graph,
-    adjacency_masks,
     bits,
     check_vector,
     indicator,
@@ -108,7 +107,7 @@ def regular_vertices(G: Graph) -> tuple:
     """All vertices whose deletion leaves only components containing an odd
     cycle, in vertex order."""
     require_connected(G)
-    adj, full = adjacency_masks(G), (1 << G.dimension) - 1
+    adj, full = G.neighbor_masks, (1 << G.dimension) - 1
     if not odd_everywhere(adj, full):
         raise BipartiteGraphError("regular vertices need at least one odd cycle")
     return tuple(v for i, v in enumerate(G.vertices)
@@ -121,7 +120,7 @@ def fundamental_sets(G: Graph) -> tuple:
     sorted by (size, vertex indices)."""
     require_connected(G)
     found: list = []
-    _fundamental_masks(adjacency_masks(G), (1 << G.dimension) - 1, 0, 0, 0, (), found)
+    _fundamental_masks(G.neighbor_masks, (1 << G.dimension) - 1, 0, 0, 0, (), found)
 
     def members(mask: int) -> frozenset:
         # frozenset of a set, not of a generator: copying a set sizes the
@@ -134,8 +133,8 @@ def fundamental_sets(G: Graph) -> tuple:
     return tuple(out)
 
 
-# fundamental_sets walks vertex sets as bitmasks against the neighbour masks
-# of graph_core.adjacency_masks. The walk takes the masks, not G, and lives
+# fundamental_sets walks vertex sets as bitmasks against the graph's
+# neighbour masks, G.neighbor_masks. The walk takes the masks, not G, and lives
 # at module level: a recursive closure over G would be a reference cycle
 # holding G, and everything cached on it, until the cycle collector runs.
 

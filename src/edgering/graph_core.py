@@ -7,10 +7,11 @@ cactus builder produces the canonical test family: a hub vertex "w" on n
 triangles, spoke vertices "x1".."x{2n}", and optional pendant triangles
 "y{i}_{k}" hanging off each spoke.
 
-Traversals read vertex sets as bitmasks, vertex i in bit i, against one
-per-graph table `adjacency_masks(G)` of neighbour masks; one breadth-first
-sweep, `_sweep`, serves components, connectivity, eccentricities and the
-odd-cycle test.
+A Graph keeps one adjacency, `neighbor_masks`: entry i is the bitmask of
+vertex i's neighbours, vertex j in bit j. The label-level accessors
+(`neighbors`, `degree`, `has_edge`, `edge`) answer from it, and traversals
+read vertex sets as bitmasks against it; one breadth-first sweep, `_sweep`,
+serves components, connectivity, eccentricities and the odd-cycle test.
 """
 
 from __future__ import annotations
@@ -58,10 +59,13 @@ class Graph:
     Vertices are opaque hashable labels. The order they are listed in is the
     coordinate order of every vector derived from this graph. Edges are
     normalized to (u, v) with u before v in that order, and the edge list is
-    sorted, so generator order is reproducible run to run.
+    sorted, so generator order is reproducible run to run. `neighbor_masks`
+    is the graph's one adjacency: entry i has vertex j's bit set iff {i, j}
+    is an edge.
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_adj", "_cache", "_hash", "__weakref__")
+    __slots__ = ("vertices", "edges", "neighbor_masks", "_index", "_cache", "_hash",
+                 "__weakref__")
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Sequence[Vertex]]):
         vertices = tuple(vertices)
@@ -73,6 +77,7 @@ class Graph:
                 raise DuplicateVertexError(f"vertex {v!r} listed twice")
             index[v] = len(index)
         canonical = set()
+        masks = [0] * len(vertices)
         for e in edges:
             u, v = e
             if u == v:
@@ -80,17 +85,16 @@ class Graph:
             for end in (u, v):
                 if end not in index:
                     raise UnknownEndpointError(f"edge endpoint {end!r} is not a vertex")
-            if index[u] > index[v]:
+            i, j = index[u], index[v]
+            if i > j:
                 u, v = v, u
             canonical.add((u, v))  # set semantics: repeated edges collapse
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         self.vertices = vertices
         self.edges = tuple(sorted(canonical, key=lambda e: (index[e[0]], index[e[1]])))
+        self.neighbor_masks = tuple(masks)
         self._index = index
-        adj = {v: set() for v in vertices}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
         self._cache = {}
         self._hash = hash((self.vertices, self.edges))
 
@@ -112,14 +116,15 @@ class Graph:
             raise UnknownEndpointError(f"{v!r} is not a vertex of this graph") from None
 
     def neighbors(self, v: Vertex) -> frozenset:
-        self.index(v)
-        return self._adj[v]
+        mask = self.neighbor_masks[self.index(v)]
+        return frozenset([self.vertices[j] for j in bits(mask)])
 
     def degree(self, v: Vertex) -> int:
-        return len(self.neighbors(v))
+        return self.neighbor_masks[self.index(v)].bit_count()
 
     def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return u in self._index and v in self._adj.get(u, frozenset())
+        i, j = self._index.get(u), self._index.get(v)
+        return i is not None and j is not None and bool(self.neighbor_masks[i] >> j & 1)
 
     def edge(self, u: Vertex, v: Vertex) -> Edge:
         """The canonical form of edge {u, v}; NotAnEdgeError if absent."""
@@ -215,7 +220,7 @@ def minimal_odd_cycles(G: Graph) -> tuple[Cycle, ...]:
     For a triangular cactus these are the blocks. Sorted by (length, vertex
     indices) so downstream pair enumeration is deterministic.
     """
-    adj, full = adjacency_masks(G), (1 << G.dimension) - 1
+    adj, full = G.neighbor_masks, (1 << G.dimension) - 1
     found = []
     for s in range(G.dimension):
         later = full & ~((2 << s) - 1)
@@ -255,7 +260,7 @@ def diameter(G: Graph) -> int:
 def eccentricities(G: Graph) -> MappingProxyType:
     """Vertex -> eccentricity, one breadth-first sweep each; read-only, as shared."""
     require_connected(G)
-    adj, full = adjacency_masks(G), (1 << G.dimension) - 1
+    adj, full = G.neighbor_masks, (1 << G.dimension) - 1
     return MappingProxyType({v: _sweep(adj, 1 << i, full)[1]
                              for i, v in enumerate(G.vertices)})
 
@@ -263,7 +268,7 @@ def eccentricities(G: Graph) -> MappingProxyType:
 def components(G: Graph, without: Iterable[Vertex] = ()) -> tuple[frozenset, ...]:
     """Vertex sets of the connected components of G minus `without`,
     ordered by smallest vertex index."""
-    adj, rest = adjacency_masks(G), (1 << G.dimension) - 1
+    adj, rest = G.neighbor_masks, (1 << G.dimension) - 1
     for v in without:
         rest &= ~(1 << G.index(v))
     comps = []
@@ -289,7 +294,7 @@ def is_triangular_cactus(G: Graph) -> bool:
     triangle, which leaves no room for a larger block. Conversely a cactus
     of t triangles has 3t edges and 2t + 1 vertices."""
     require_connected(G)
-    adj = adjacency_masks(G)
+    adj = G.neighbor_masks
     return (0 < 2 * G.edge_count == 3 * (G.dimension - 1)
             and all((adj[G.index(u)] & adj[G.index(v)]).bit_count() == 1
                     for u, v in G.edges))
@@ -298,17 +303,6 @@ def is_triangular_cactus(G: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # bitmask traversal
 # ---------------------------------------------------------------------------
-
-@per_graph
-def adjacency_masks(G: Graph) -> tuple:
-    """Entry i is the bitmask of vertex i's neighbours, vertex j in bit j."""
-    adj = [0] * G.dimension
-    for u, v in G.edges:
-        i, j = G.index(u), G.index(v)
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return tuple(adj)
-
 
 def bits(mask: int):
     """The indices of the set bits of mask, ascending."""

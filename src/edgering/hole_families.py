@@ -381,29 +381,28 @@ def default_truncation(G: Graph) -> int:
 def s2_verdict(G: Graph, D: int | None = None) -> dict:
     """Normality plus the (S2) verdict with supporting evidence.
 
-    Normal graphs are (S2) outright (verified here by an empty hole set up
-    to D). Diameter-4 triangular cacti go through the family decomposition:
-    verification must pass on every degree slab of the ladder up to D, the
-    slabs must agree, and every family must have dimension d-1; a family of
-    lower dimension would make the verdict inconclusive (None), never a
-    confident failure. Non-normal graphs outside the class are inconclusive.
+    Normal graphs are (S2) outright, checked here by an empty hole set up
+    to D: holes under a normality verdict make it inconclusive (None), never
+    a confident True. Diameter-4 triangular cacti go through the family
+    decomposition: verification must pass on every degree slab of the ladder
+    up to D, the slabs must agree, and every family must have dimension d-1;
+    a family of lower dimension would make the verdict inconclusive (None),
+    never a confident failure. Non-normal graphs outside the class are
+    inconclusive.
     """
     if D is None:
         D = default_truncation(G)
     ct = classify(G)
     normal = is_normal(G)
     if normal:
-        hole_set = holes(G, D)
-        return {
-            "normal": True,
-            "s2": True,
-            "evidence": {
-                "route": "normal",
-                "degree": D,
-                "type": ct.as_json(),
-                "hole_count": len(hole_set),
-            },
-        }
+        hole_count = len(holes(G, D))
+        evidence = {"route": "normal", "degree": D, "type": ct.as_json(),
+                    "hole_count": hole_count}
+        if hole_count:
+            evidence["reason"] = (f"the graph passes the normality test but "
+                                  f"has {hole_count} holes up to degree {D}")
+        return {"normal": True, "s2": None if hole_count else True,
+                "evidence": evidence}
     if ct.tag == NOT_DIAM4:
         return {
             "normal": False,

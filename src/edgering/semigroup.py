@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from . import facets
 from .errors import EdgeRingError, MethodMismatchError
 from .facets import _lanes, _sign_bits
-from .graph_core import Graph, check_vector, indicator, per_graph
+from .graph_core import Graph, bits, check_vector, indicator, per_graph
 from .lattices import IntegerLattice
 
 def unit_vector(G: Graph, v) -> tuple:
@@ -83,8 +83,9 @@ def lattice_member(G: Graph, x: Sequence[int]) -> bool:
 
 @per_graph
 def _memo(G: Graph) -> dict:
-    # residual vector -> witness tuple of edges, or None when not expressible;
-    # subproblems depend only on the residual, so one table per graph is sound
+    # residual vector -> witness tuple of index pairs, or None when not
+    # expressible; subproblems depend only on the residual, so one table per
+    # graph is sound
     return {}
 
 
@@ -96,39 +97,46 @@ def member(G: Graph, x: Sequence[int]) -> bool:
     in the package is checked against, so it stays definitional: no parity
     or cone shortcuts.
     """
-    return _decompose(G, check_vector(G, x), _memo(G)) is not None
+    return _witness(G, x) is not None
 
 
 def decompose(G: Graph, x: Sequence[int]):
     """Witness multiset of edges summing to x, or None. Edges are returned
     sorted in canonical edge order."""
-    x = check_vector(G, x)
-    witness = _decompose(G, x, _memo(G))
+    witness = _witness(G, x)
     if witness is None:
         return None
-    return tuple(sorted(witness, key=lambda e: (G.index(e[0]), G.index(e[1]))))
+    return tuple((G.vertices[i], G.vertices[j]) for i, j in sorted(witness))
 
 
-def _decompose(G: Graph, x: tuple, memo: dict):
-    if any(c < 0 for c in x):
+def _witness(G: Graph, x: Sequence[int]):
+    # a negative coordinate is refused here, once: a step of the search
+    # lowers only positive coordinates, so residuals stay nonnegative
+    x = check_vector(G, x)
+    if min(x) < 0:
         return None
+    return _decompose(G.neighbor_masks, x, _memo(G))
+
+
+def _decompose(masks: Sequence[int], x: tuple, memo: dict):
+    # pair the least-index positive coordinate i with each neighbour j in
+    # ascending index order; x[j] > 0 forces j > i, so (i, j) is an edge in
+    # canonical order
     if not any(x):
         return ()
     if x in memo:
         return memo[x]
-    i = next(j for j, c in enumerate(x) if c > 0)
-    v = G.vertices[i]
+    i = next(j for j, c in enumerate(x) if c)
     out = None
-    for u in sorted(G.neighbors(v), key=G.index):
-        j = G.index(u)
-        if x[j] <= 0:
+    for j in bits(masks[i]):
+        if not x[j]:
             continue
         residual = list(x)
         residual[i] -= 1
         residual[j] -= 1
-        sub = _decompose(G, tuple(residual), memo)
+        sub = _decompose(masks, tuple(residual), memo)
         if sub is not None:
-            out = ((G.edge(v, u)),) + sub
+            out = ((i, j),) + sub
             break
     memo[x] = out
     return out

@@ -3,11 +3,11 @@
 Everything here recomputes a quantity by a different route than the
 library: Floyd-Warshall distances, delete-and-count cutpoints, subset
 enumeration for cycles, blocks and fundamental sets, multiset enumeration for
-semigroup membership, LP feasibility and a bipartite-double-cover flow for
-cone membership, the classical closed form for the edge lattice, echelon row
-reduction for any integer lattice, and full scans of the normalization for
-its truncations and for hole-family points. Slow is fine; independent is the
-point.
+semigroup membership, an unmemoized search on labels for its witnesses, LP
+feasibility and a bipartite-double-cover flow for cone membership, the
+classical closed form for the edge lattice, echelon row reduction for any
+integer lattice, and full scans of the normalization for its truncations and
+for hole-family points. Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ def oracle_member(G, x) -> bool:
     """Multiset enumeration: x is a sum of exactly deg(x)/2 edge vectors
     iff some combination with replacement hits it."""
     total = sum(x)
-    if total % 2:
+    if total % 2 or min(x) < 0:  # a sum of edge vectors is nonnegative
         return False
     k = total // 2
     if k == 0:
@@ -340,6 +340,32 @@ def oracle_member(G, x) -> bool:
         if tuple(s) == tuple(x):
             return True
     return False
+
+
+def oracle_first_witness(G, x):
+    """The first witness of the definitional depth-first search, or None:
+    pair the least-index positive vertex with each of its neighbours in
+    vertex order and recurse on the rest. Edges come as label pairs in
+    canonical order, in the order the search takes them. Written on labels
+    and the raw edge list, with no memo, so only for small degrees."""
+    if any(c < 0 for c in x):
+        return None
+    positive = [v for v, c in zip(G.vertices, x) if c > 0]
+    if not positive:
+        return []
+    v = positive[0]
+    edges = set(G.edges)
+    for u in G.vertices:
+        e = (v, u) if G.index(v) < G.index(u) else (u, v)
+        if e not in edges or x[G.index(u)] <= 0:
+            continue
+        rest = list(x)
+        rest[G.index(v)] -= 1
+        rest[G.index(u)] -= 1
+        sub = oracle_first_witness(G, rest)
+        if sub is not None:
+            return [e] + sub
+    return None
 
 
 def oracle_cone_contains(G, x) -> bool:

@@ -25,7 +25,6 @@ from edgering import (
     regular_vertices,
 )
 from edgering.graph_core import (
-    adjacency_masks,
     components,
     cutpoints,
     eccentricities,
@@ -171,11 +170,11 @@ def test_bipartite_detection():
     even = build_from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     odd = build_from_edges([("a", "b"), ("b", "c"), ("c", "a")])
     for G, want in ((path, False), (even, False), (odd, True)):
-        assert odd_everywhere(adjacency_masks(G), (1 << G.dimension) - 1) is want
+        assert odd_everywhere(G.neighbor_masks, (1 << G.dimension) - 1) is want
     # an odd cycle in one component does not make the other one odd
     both = Graph("abcdef", [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e")])
-    assert not odd_everywhere(adjacency_masks(both), 0b111111)
-    assert odd_everywhere(adjacency_masks(both), 0b000111)
+    assert not odd_everywhere(both.neighbor_masks, 0b111111)
+    assert odd_everywhere(both.neighbor_masks, 0b000111)
 
 
 def test_cutpoints_match_removal_oracle(all_fixture_graphs):
@@ -211,6 +210,15 @@ def _labelled_graphs(max_n):
 
 
 def _assert_primitives_match_oracles(G):
+    edges = set(G.edges)
+    for u in G.vertices:
+        nbrs = {v for v in G.vertices if (u, v) in edges or (v, u) in edges}
+        assert G.neighbors(u) == nbrs and G.degree(u) == len(nbrs)
+        for v in G.vertices:
+            assert G.has_edge(u, v) is (v in nbrs)
+        assert G.has_edge(u, "absent") is False and G.has_edge("absent", u) is False
+    with pytest.raises(UnknownEndpointError):
+        G.neighbors("absent")
     assert is_connected(G) == oracles.oracle_connected(G)
     for v in G.vertices:
         rest = [u for u in G.vertices if u != v]

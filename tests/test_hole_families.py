@@ -338,6 +338,23 @@ def test_s2_verdict_normal_route(friend3, bowtie):
         }
 
 
+def test_s2_verdict_normal_route_with_holes_is_inconclusive(t1min, monkeypatch,
+                                                            tmp_path, capsys):
+    # the normal route checks its holes: a normality verdict on a graph with
+    # holes must not become a confident s2 = True
+    monkeypatch.setattr(hole_families, "is_normal", lambda G: True)
+    v = s2_verdict(t1min, 8)
+    assert v["normal"] is True and v["s2"] is None
+    assert v["evidence"]["route"] == "normal"
+    assert v["evidence"]["hole_count"] == 9
+    assert "9 holes up to degree 8" in v["evidence"]["reason"]
+
+    graph = tmp_path / "t1min.graph"
+    graph.write_text(format_graph_text(t1min))
+    assert main(["analyze", str(graph), "--degree", "8"]) == 0
+    assert "verdict: normal=true s2=inconclusive" in capsys.readouterr().out
+
+
 def test_s2_verdict_unsupported_route():
     # two triangles joined by a 2-path: an exceptional pair exists (not
     # normal) but the graph is no triangular cactus, so no decomposition

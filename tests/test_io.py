@@ -15,6 +15,7 @@ from edgering import (
     parse_graph_json,
     parse_graph_text,
 )
+from edgering import fixtures
 
 
 def test_text_round_trip(all_fixture_graphs):
@@ -134,3 +135,11 @@ def test_load_graph_sniffs_format(tmp_path, t1min):
     j.write_text(format_graph_json(t1min))
     assert load_graph(t) == t1min
     assert load_graph(j) == t1min
+
+
+def test_fixture_load_agrees_with_build(all_fixture_graphs):
+    for name, G in all_fixture_graphs.items():
+        assert G == fixtures.build(name), name
+    for fn in (fixtures.load, fixtures.build):
+        with pytest.raises(ValueError, match="unknown fixture 'nope'; available: bowtie, "):
+            fn("nope")

@@ -82,10 +82,25 @@ def test_member_matches_multiset_oracle_on_random_vectors(bowtie, t1min):
     for G in (bowtie, t1min):
         d = G.dimension
         for _ in range(80):
-            x = tuple(rng.randint(0, 2) for _ in range(d))
+            x = tuple(rng.randint(-1, 2) for _ in range(d))
             if sum(x) > 8:
                 continue
             assert member(G, x) == oracles.oracle_member(G, x), x
+
+
+def test_decompose_returns_the_first_witness_of_the_search(bowtie, t1min, t2min):
+    # the memoized index walk finds the same witness as the plain search on
+    # labels: least-index positive vertex first, neighbours in index order;
+    # every semigroup point of degree <= 8 adds witnesses to check
+    rng = random.Random(31)
+    for G in (bowtie, t1min, t2min):
+        vectors = [tuple(rng.randint(-1, 2) for _ in range(G.dimension))
+                   for _ in range(400)]
+        for x in [x for x in vectors if sum(x) <= 8] + sorted(enumerate_semigroup(G, 8)):
+            want = oracles.oracle_first_witness(G, x)
+            if want is not None:
+                want = tuple(sorted(want, key=lambda e: (G.index(e[0]), G.index(e[1]))))
+            assert decompose(G, x) == want, x
 
 
 def test_member_stays_definitional_on_holes(t1min):
