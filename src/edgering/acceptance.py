@@ -1,16 +1,17 @@
 """The acceptance suite: eight exact desk-scale checks.
 
-Each criterion function takes a fixture loader and returns `(passed,
-details)`, with enough detail to diagnose a failure; `CRITERIA` pairs it
-with its title. `run_all`, the engine behind both the CLI verification
-command and the test suite, turns those into reports and loads each fixture
-once per call, so the criteria share per-graph results.
+Each criterion takes a fixture loader and returns `(passed, details)`, with
+enough detail to diagnose a failure. Six are per-fixture checks `(G, name)
+-> (ok, entry)` run under `_each`'s one loop; `figure1` and `taxonomy` load
+their fixtures themselves. `CRITERIA` is the one table of (name, criterion,
+title). `run_all`, the engine behind the CLI verification command and the
+test suite, turns it into reports and loads each fixture once per call, so
+the criteria share per-graph results.
 
 Fixture policy: the enumeration-heavy criteria (2, 3, 5) run on the
-fixtures with ambient dimension at most 12 — the scale the suite's runtime
-budget is defined for; the lemma and membership criteria also cover the
-two larger 4-triangle fixtures, where closed forms and single membership
-queries stay cheap.
+fixtures of dimension at most 12, the scale of the suite's runtime budget;
+the lemma and membership criteria also cover the two 4-triangle fixtures,
+where closed forms and single membership queries stay cheap.
 """
 
 from __future__ import annotations
@@ -51,157 +52,117 @@ def criterion_figure1(load) -> tuple:
     }
 
 
-def criterion_normality(load) -> tuple:
+def _each(fixture_names):
+    """Make a check `(G, name) -> (ok, entry)` a criterion over the fixtures
+    `fixture_names()` names when it runs. A failing fixture hides no other;
+    a raising one fails the whole criterion."""
+
+    def lift(check):
+        def criterion(load) -> tuple:
+            passed, details = True, {}
+            for name in fixture_names():
+                ok, details[name] = check(load(name), name)
+                passed = passed and ok
+            return passed, details
+
+        return criterion
+
+    return lift
+
+
+@_each(lambda: NORMAL_FIXTURES + NON_NORMAL_FIXTURES)
+def criterion_normality(G, name) -> tuple:
     """Normality dichotomy plus the empty-holes cross-check at degree 12
     in both directions."""
-    details = {}
-    passed = True
-    for name in NORMAL_FIXTURES + NON_NORMAL_FIXTURES:
-        G = load(name)
-        expected = name in NORMAL_FIXTURES
-        normal = is_normal(G)
-        hole_count = len(holes(G, 12))
-        ok = normal == expected and (hole_count == 0) == expected
-        details[name] = {
-            "is_normal": normal,
-            "expected": expected,
-            "holes_at_12": hole_count,
-        }
-        passed = passed and ok
-    return passed, details
+    expected = name in NORMAL_FIXTURES
+    normal = is_normal(G)
+    hole_count = len(holes(G, 12))
+    ok = normal == expected and (hole_count == 0) == expected
+    return ok, {"is_normal": normal, "expected": expected, "holes_at_12": hole_count}
 
 
-def criterion_main_theorem(load) -> tuple:
+@_each(lambda: NON_NORMAL_FIXTURES)
+def criterion_main_theorem(G, name) -> tuple:
     """Hole decomposition verified on the degree ladder, all families of
     dimension d-1, and the non-normal/(S2) verdict, on both minimal
     diameter-4 fixtures."""
-    details = {}
-    passed = True
-    expected = {"t1min": ("Type1", 9), "t2min": ("Type2", 11)}
-    for name in NON_NORMAL_FIXTURES:
-        G = load(name)
-        tag, d = expected[name]
-        entry = {
-            "type": classify(G).tag,
-            "dimension": G.dimension,
-            "diameter": diameter(G),
-            "verified_at": {},
-            "family_dimensions": [],
-            "verdict": None,
-            "error": None,
-        }
-        ok = (
-            classify(G).tag == tag
-            and G.dimension == d
-            and entry["diameter"] == 4
-        )
-        try:
-            # outside the class the verdict is inconclusive, not an error;
-            # the gate names the cause
-            require_diameter4_cactus(G)
-            verdict = s2_verdict(G, 12)
-            evidence = verdict["evidence"]
-            entry["verified_at"] = evidence.get("verified_at", {})
-            entry["family_dimensions"] = evidence.get("family_dimensions", [])
-            ok = ok and all(entry["verified_at"].values())
-            ok = ok and all(x == d - 1 for x in entry["family_dimensions"])
-            entry["verdict"] = {"normal": verdict["normal"], "s2": verdict["s2"]}
-            ok = ok and verdict["normal"] is False and verdict["s2"] is True
-        except EdgeRingError as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-            ok = False
-        details[name] = entry
-        passed = passed and ok
-    return passed, details
+    tag, d = {"t1min": ("Type1", 9), "t2min": ("Type2", 11)}[name]
+    entry = dict(type=classify(G).tag, dimension=G.dimension, diameter=diameter(G),
+                 verified_at={}, family_dimensions=[], verdict=None, error=None)
+    ok = entry["type"] == tag and G.dimension == d and entry["diameter"] == 4
+    try:
+        # outside the class the verdict is inconclusive, not an error;
+        # the gate names the cause
+        require_diameter4_cactus(G)
+        verdict = s2_verdict(G, 12)
+        evidence = verdict["evidence"]
+        entry["verified_at"] = evidence.get("verified_at", {})
+        entry["family_dimensions"] = evidence.get("family_dimensions", [])
+        ok = ok and all(entry["verified_at"].values())
+        ok = ok and all(x == d - 1 for x in entry["family_dimensions"])
+        entry["verdict"] = {"normal": verdict["normal"], "s2": verdict["s2"]}
+        ok = ok and verdict["normal"] is False and verdict["s2"] is True
+    except EdgeRingError as exc:
+        entry["error"] = f"{type(exc).__name__}: {exc}"
+        ok = False
+    return ok, entry
 
 
-def criterion_lemmas(load) -> tuple:
+@_each(lambda: LEMMA_FIXTURES)
+def criterion_lemmas(G, name) -> tuple:
     """Closed forms of the three membership lemmas against the brute-force
     oracle, exhaustively over admissible inputs."""
-    details = {}
-    passed = True
-    generators = (
+    entry = {}
+    for label, gen in (
         ("pair_sum", pair_sum_cases),
         ("edge_augment", edge_augment_cases),
         ("double_w_edge", double_w_edge_cases),
-    )
-    for name in LEMMA_FIXTURES:
-        G = load(name)
-        entry = {}
-        for label, gen in generators:
-            cases = list(gen(G))
-            disagreements = [c for c in cases if not c["agree"]]
-            entry[label] = {
-                "cases": len(cases),
-                "disagreements": len(disagreements),
-            }
-            if disagreements:
-                entry[label]["first_disagreement"] = disagreements[0]
-                passed = False
-        details[name] = entry
-    return passed, details
+    ):
+        cases = list(gen(G))
+        disagreements = [c for c in cases if not c["agree"]]
+        entry[label] = {"cases": len(cases), "disagreements": len(disagreements)}
+        if disagreements:
+            entry[label]["first_disagreement"] = disagreements[0]
+    return all(not e["disagreements"] for e in entry.values()), entry
 
 
-def criterion_cross_check(load) -> tuple:
+@_each(lambda: SMALL_FIXTURES)
+def criterion_cross_check(G, name) -> tuple:
     """Inequality-filter enumeration equals closure enumeration up to
     degree 12 on every dimension-at-most-12 fixture."""
-    details = {}
-    passed = True
-    for name in SMALL_FIXTURES:
-        G = load(name)
-        try:
-            count = len(enumerate_normalization(G, 12))
-            details[name] = {"points": count, "agree": True}
-        except MethodMismatchError as exc:
-            details[name] = {
-                "agree": False,
-                "only_inequality_method": len(exc.only_first),
-                "only_closure_method": len(exc.only_second),
-            }
-            passed = False
-    return passed, details
+    try:
+        return True, {"points": len(enumerate_normalization(G, 12)), "agree": True}
+    except MethodMismatchError as exc:
+        return False, {
+            "agree": False,
+            "only_inequality_method": len(exc.only_first),
+            "only_closure_method": len(exc.only_second),
+        }
 
 
-def criterion_doubling(load) -> tuple:
+@_each(fixtures.names)
+def criterion_doubling(G, name) -> tuple:
     """Every exceptional pair vector is a hole whose double is not."""
-    details = {}
-    passed = True
-    for name in fixtures.names():
-        G = load(name)
-        rows = []
-        for P in exceptional_pairs(G):
-            q = pair_vector(G, P)
-            in_s = member(G, q)
-            double_in_s = member(G, tuple(2 * a for a in q))
-            rows.append(
-                {
-                    "pair": P.as_json(),
-                    "member_q": in_s,
-                    "member_2q": double_in_s,
-                }
-            )
-            if in_s is not False or double_in_s is not True:
-                passed = False
-        details[name] = rows
-    return passed, details
+    rows = []
+    for P in exceptional_pairs(G):
+        q = pair_vector(G, P)
+        rows.append({"pair": P.as_json(), "member_q": member(G, q),
+                     "member_2q": member(G, tuple(2 * a for a in q))})
+    ok = all(r["member_q"] is False and r["member_2q"] is True for r in rows)
+    return ok, rows
 
 
-def criterion_facet_rank(load) -> tuple:
+@_each(fixtures.names)
+def criterion_facet_rank(G, name) -> tuple:
     """Every supporting hyperplane of every fixture meets the cone in a
     face of dimension exactly d-1."""
-    details = {}
-    passed = True
-    for name in fixtures.names():
-        G = load(name)
-        dims = [face_of(G, H).dimension for H in supporting_hyperplanes(G)]
-        ok = all(x == G.dimension - 1 for x in dims)
-        details[name] = {
-            "hyperplanes": len(dims),
-            "expected_dimension": G.dimension - 1,
-            "off_rank": [x for x in dims if x != G.dimension - 1],
-        }
-        passed = passed and ok
-    return passed, details
+    dims = [face_of(G, H).dimension for H in supporting_hyperplanes(G)]
+    off_rank = [x for x in dims if x != G.dimension - 1]
+    return not off_rank, {
+        "hyperplanes": len(dims),
+        "expected_dimension": G.dimension - 1,
+        "off_rank": off_rank,
+    }
 
 
 def criterion_taxonomy(load) -> tuple:
@@ -228,23 +189,27 @@ def criterion_taxonomy(load) -> tuple:
 
 
 CRITERIA = (
-    (criterion_figure1, "bowtie regular vertices and single-vertex fundamental set"),
-    (criterion_normality, "normality dichotomy with degree-12 hole cross-check"),
-    (criterion_main_theorem, "decomposition ladder, family dimensions, and (S2) verdict"),
-    (criterion_lemmas, "lemma closed forms agree with the membership oracle"),
-    (criterion_cross_check, "two independent normalization enumerations agree to degree 12"),
-    (criterion_doubling, "pair vectors are non-members whose doubles are members"),
-    (criterion_facet_rank, "all supporting hyperplanes have face dimension d-1"),
-    (criterion_taxonomy, "type classification and the degree-2 spoke adjacency law"),
+    ("figure1", criterion_figure1,
+     "bowtie regular vertices and single-vertex fundamental set"),
+    ("normality", criterion_normality,
+     "normality dichotomy with degree-12 hole cross-check"),
+    ("main-theorem", criterion_main_theorem,
+     "decomposition ladder, family dimensions, and (S2) verdict"),
+    ("lemmas", criterion_lemmas,
+     "lemma closed forms agree with the membership oracle"),
+    ("cross-check", criterion_cross_check,
+     "two independent normalization enumerations agree to degree 12"),
+    ("doubling", criterion_doubling,
+     "pair vectors are non-members whose doubles are members"),
+    ("facet-rank", criterion_facet_rank,
+     "all supporting hyperplanes have face dimension d-1"),
+    ("taxonomy", criterion_taxonomy,
+     "type classification and the degree-2 spoke adjacency law"),
 )
 
 
-def _name(fn) -> str:
-    return fn.__name__.replace("criterion_", "").replace("_", "-")
-
-
 def criterion_names() -> tuple:
-    return tuple(_name(fn) for fn, _ in CRITERIA)
+    return tuple(name for name, _, _ in CRITERIA)
 
 
 def run_all(only=None, fixtures_dir=None) -> list:
@@ -254,16 +219,12 @@ def run_all(only=None, fixtures_dir=None) -> list:
     wanted = None
     if only is not None:
         wanted = {name.strip() for name in only}
+        available = f"available: {', '.join(criterion_names())}"
         if not wanted:
-            raise ValueError(
-                f"no criteria named; available: {', '.join(criterion_names())}"
-            )
+            raise ValueError(f"no criteria named; {available}")
         unknown = wanted - set(criterion_names())
         if unknown:
-            raise ValueError(
-                f"unknown criteria: {sorted(unknown)}; "
-                f"available: {', '.join(criterion_names())}"
-            )
+            raise ValueError(f"unknown criteria: {sorted(unknown)}; {available}")
     graphs = {}
 
     def load(name):
@@ -272,12 +233,11 @@ def run_all(only=None, fixtures_dir=None) -> list:
         return graphs[name]
 
     reports = []
-    for i, (fn, title) in enumerate(CRITERIA, 1):
-        name = _name(fn)
+    for i, (name, criterion, title) in enumerate(CRITERIA, 1):
         if wanted is not None and name not in wanted:
             continue
         try:
-            passed, details = fn(load)
+            passed, details = criterion(load)
         except (EdgeRingError, OSError, ValueError) as exc:
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
         reports.append(

@@ -150,10 +150,8 @@ def lemma_edge_augment(G: Graph, P: ExceptionalPair, edge) -> bool:
 
 
 def lemma_edge_augment_vector(G: Graph, P: ExceptionalPair, edge) -> tuple:
-    from .semigroup import unit_vector
-
     u, v = edge
-    return _add(pair_vector(G, P), _add(unit_vector(G, u), unit_vector(G, v)))
+    return _add(pair_vector(G, P), _add(indicator(G, (u,)), indicator(G, (v,))))
 
 
 def lemma_double_w_edge(G: Graph, P: ExceptionalPair, u, v) -> bool:
@@ -174,10 +172,9 @@ def lemma_double_w_edge(G: Graph, P: ExceptionalPair, u, v) -> bool:
 
 
 def lemma_double_w_edge_vector(G: Graph, P: ExceptionalPair, u, v) -> tuple:
-    from .semigroup import rho_vector
-
     w = require_diameter4_cactus(G)
-    return _add(pair_vector(G, P), _add(rho_vector(G, u, w), rho_vector(G, v, w)))
+    q = pair_vector(G, P)
+    return _add(q, _add(indicator(G, G.edge(u, w)), indicator(G, G.edge(v, w))))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ hide another.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from edgering import acceptance
 
 CRITERIA = acceptance.criterion_names()
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +40,11 @@ def test_criterion(name, acceptance_reports, capsys):
 def test_reports_are_json_serializable(acceptance_reports):
     blob = json.dumps(list(acceptance_reports.values()), sort_keys=True)
     assert all(name in blob for name in CRITERIA)
+
+
+def test_reports_match_the_golden_report(acceptance_reports):
+    # the whole report, details included, as `edgering verify-paper --json`
+    # writes it: a changed count or a dropped entry shows here
+    got = json.dumps([acceptance_reports[name] for name in CRITERIA],
+                     indent=2, sort_keys=True)
+    assert got == (GOLDEN / "verify_paper.json").read_text()

@@ -308,13 +308,21 @@ def test_verify_paper_tampered_fixture(tmp_path, capsys):
     (tampered / "t1min.graph").write_text(
         "\n".join([f"{d} {int(m) - 1}"] + kept) + "\n"
     )
+    path = tmp_path / "vp.json"
     code = main(
-        ["verify-paper", "--fixtures", str(tampered), "--only", "main-theorem"]
+        ["verify-paper", "--fixtures", str(tampered), "--only", "main-theorem",
+         "--json", str(path)]
     )
     assert code == 1
     out = capsys.readouterr().out
     assert "[FAIL] 3. main-theorem" in out
     assert "NotDiameterFourCactus" in out  # diagnostic names the cause
+    # the failing fixture hides no other: t2min is still checked and reported
+    (report,) = json.loads(path.read_text())
+    details = report["details"]
+    assert set(details) == {"t1min", "t2min"}
+    assert "NotDiameterFourCactus" in details["t1min"]["error"]
+    assert details["t2min"]["verdict"] == {"normal": False, "s2": True}
 
 
 def test_verify_paper_failing_criterion_keeps_its_title(tmp_path, capsys):
@@ -363,9 +371,7 @@ def test_readme_verify_paper_block_matches_criteria(monkeypatch, capsys):
     # every criterion passing, without running the suite
     reports = [
         {"id": i, "name": name, "title": title, "passed": True, "details": {}}
-        for i, (name, (_, title)) in enumerate(
-            zip(acceptance.criterion_names(), acceptance.CRITERIA), 1
-        )
+        for i, (name, _, title) in enumerate(acceptance.CRITERIA, 1)
     ]
     monkeypatch.setattr(acceptance, "run_all", lambda only, fixtures_dir: reports)
     assert main(["verify-paper"]) == 0

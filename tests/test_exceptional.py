@@ -1,7 +1,6 @@
 import pytest
 
 from edgering import (
-    Cycle,
     ExceptionalPair,
     NotAnEdgeError,
     NotDiameterFourCactusError,
