@@ -5,7 +5,11 @@ its normalization N, and the holes N - S (a set difference, no oracle).
 Vectors are tuples of ints indexed by the graph's vertex order. The
 semigroup is generated by one degree-2 vector per edge (the sum of the two
 endpoint units). Inside the enumerations each vector is packed into one int
-with a byte per coordinate, and only results handed out are unpacked. S_D is
+with a byte per coordinate, and only results handed out are unpacked. The
+oracle packs the same way, one lane per coordinate, its width the smallest
+multiple of 8 bits that holds max(x): a search step subtracts one packed
+generator, and its memo maps a packed residual (one table per lane width)
+to the edge number its first witness takes first, or -1. S_D is
 built once per degree bound as degree slabs. The normalization is enumerated
 two independent ways and cross-checked: (A) a walk over nonnegative vectors
 that keeps every fundamental hyperplane's value in a 16-bit lane of one int,
@@ -25,7 +29,7 @@ from typing import Iterable, Sequence
 from . import facets
 from .errors import EdgeRingError, MethodMismatchError
 from .facets import _lanes, _sign_bits
-from .graph_core import Graph, bits, check_vector, indicator, per_graph
+from .graph_core import Graph, check_vector, indicator, per_graph
 from .lattices import IntegerLattice
 
 def unit_vector(G: Graph, v) -> tuple:
@@ -83,9 +87,10 @@ def lattice_member(G: Graph, x: Sequence[int]) -> bool:
 
 @per_graph
 def _memo(G: Graph) -> dict:
-    # residual vector -> witness tuple of index pairs, or None when not
-    # expressible; subproblems depend only on the residual, so one table per
-    # graph is sound
+    # lane width -> {packed residual: the edge number its first witness
+    # takes first, or -1 when it is no member}; subproblems depend only on
+    # the residual, so one table per graph and width is sound, and widths
+    # stay apart because one int packs different vectors at different widths
     return {}
 
 
@@ -95,7 +100,10 @@ def member(G: Graph, x: Sequence[int]) -> bool:
     Exhaustive backtracking on the least-index positive coordinate, memoized
     on the residual. This is the reference oracle every closed-form result
     in the package is checked against, so it stays definitional: no parity
-    or cone shortcuts.
+    or cone shortcuts. The residual is one int with a lane per coordinate,
+    as wide as the smallest multiple of 8 bits that holds max(x), so a step
+    is one subtraction; the search keeps its own stack, so it answers at
+    any degree.
     """
     return _witness(G, x) is not None
 
@@ -106,40 +114,69 @@ def decompose(G: Graph, x: Sequence[int]):
     witness = _witness(G, x)
     if witness is None:
         return None
-    return tuple((G.vertices[i], G.vertices[j]) for i, j in sorted(witness))
+    return tuple(G.edges[k] for k in sorted(witness))
 
 
 def _witness(G: Graph, x: Sequence[int]):
-    # a negative coordinate is refused here, once: a step of the search
-    # lowers only positive coordinates, so residuals stay nonnegative
+    # edge numbers of the first witness, or None. A negative coordinate is
+    # refused here, once: a step of the search lowers only positive
+    # coordinates, so residuals stay nonnegative and no lane borrows
     x = check_vector(G, x)
     if min(x) < 0:
         return None
-    return _decompose(G.neighbor_masks, x, _memo(G))
+    width = 8 * ((max(x).bit_length() + 7) // 8 or 1)
+    gens, steps = _packed_generators(G, width)
+    memo = _memo(G).setdefault(width, {})
+    r = _pack(x, width)
+    if not _decompose(steps, width, r, memo):
+        return None
+    witness = []
+    while r:
+        witness.append(memo[r])
+        r -= gens[witness[-1]]
+    return witness
 
 
-def _decompose(masks: Sequence[int], x: tuple, memo: dict):
-    # pair the least-index positive coordinate i with each neighbour j in
-    # ascending index order; x[j] > 0 forces j > i, so (i, j) is an edge in
-    # canonical order
-    if not any(x):
-        return ()
-    if x in memo:
-        return memo[x]
-    i = next(j for j, c in enumerate(x) if c)
-    out = None
-    for j in bits(masks[i]):
-        if not x[j]:
-            continue
-        residual = list(x)
-        residual[i] -= 1
-        residual[j] -= 1
-        sub = _decompose(masks, tuple(residual), memo)
-        if sub is not None:
-            out = ((i, j),) + sub
+@per_graph
+def _packed_generators(G: Graph, width: int) -> tuple:
+    # the generators packed in `width`-bit lanes, by edge number, and the
+    # search's steps: entry i lists (edge number, generator, lane mask of j)
+    # for the edges (i, j), j > i, in edge order, so neighbours ascending
+    lane = (1 << width) - 1
+    gens = tuple(_pack(g, width) for g in generators(G))
+    steps = [[] for _ in G.vertices]
+    for k, (u, v) in enumerate(G.edges):
+        steps[G.index(u)].append((k, gens[k], lane << width * G.index(v)))
+    return gens, tuple(map(tuple, steps))
+
+
+def _decompose(steps: Sequence[tuple], width: int, r: int, memo: dict) -> bool:
+    # True iff the packed residual r is a sum of generators. The search pairs
+    # the least-index positive coordinate i with each neighbour j > i that
+    # is positive, in edge order, and the first success wins. Its stack holds
+    # [residual, its options left, the edge it is trying]; a success settles
+    # every residual on it to its pending edge, a failure settles the top one
+    # to -1 and its parent moves on to its next option
+    stack = []
+    while True:
+        if r and r not in memo:
+            stack.append([r, iter(steps[((r & -r).bit_length() - 1) // width]), -1])
+        elif not r or memo[r] >= 0:
+            for residual, _, k in stack:
+                memo[residual] = k
+            return True
+        while stack:
+            frame = stack[-1]
+            for k, g, lane in frame[1]:
+                if frame[0] & lane:
+                    frame[2], r = k, frame[0] - g
+                    break
+            else:
+                memo[stack.pop()[0]] = -1
+                continue
             break
-    memo[x] = out
-    return out
+        else:
+            return False
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +189,15 @@ def _decompose(masks: Sequence[int], x: tuple, memo: dict):
 MAX_PACKED_DEGREE = 255
 
 
-def _pack(x: Sequence[int]) -> int:
+def _pack(x: Sequence[int], width: int = 8) -> int:
+    """x with coordinate i in lane i of `width` bits, a multiple of 8."""
     try:
-        return int.from_bytes(bytes(x), "little")
-    except ValueError:
+        return int.from_bytes(
+            b"".join([c.to_bytes(width // 8, "little") for c in x]), "little")
+    except OverflowError:
         raise EdgeRingError(
-            f"cannot pack {tuple(x)}: packed vectors hold coordinates 0..255"
+            f"cannot pack {tuple(x)}: {width}-bit lanes hold coordinates "
+            f"0..{(1 << width) - 1}"
         ) from None
 
 

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from edgering import (
     EdgeRingError,
+    Graph,
     IntegerLattice,
     MethodMismatchError,
     NotAnEdgeError,
@@ -88,19 +89,49 @@ def test_member_matches_multiset_oracle_on_random_vectors(bowtie, t1min):
             assert member(G, x) == oracles.oracle_member(G, x), x
 
 
-def test_decompose_returns_the_first_witness_of_the_search(bowtie, t1min, t2min):
-    # the memoized index walk finds the same witness as the plain search on
+def test_decompose_returns_the_first_witness_of_the_search(triangle, bowtie, t1min,
+                                                           t2min, cact4b):
+    # the memoized packed walk finds the same witness as the plain search on
     # labels: least-index positive vertex first, neighbours in index order;
-    # every semigroup point of degree <= 8 adds witnesses to check
+    # every semigroup point of degree <= 8 adds witnesses to check, the
+    # triangle's vectors sit at the 8-bit lane width's edge, and cact4b
+    # (d = 17) is the class of the benchmark's point queries
     rng = random.Random(31)
+    cases = {triangle: [(255, 255, 0), (256, 256, 0), (255, 257, 2)]}
     for G in (bowtie, t1min, t2min):
         vectors = [tuple(rng.randint(-1, 2) for _ in range(G.dimension))
                    for _ in range(400)]
-        for x in [x for x in vectors if sum(x) <= 8] + sorted(enumerate_semigroup(G, 8)):
+        cases[G] = [x for x in vectors if sum(x) <= 8] + sorted(enumerate_semigroup(G, 8))
+    vectors = []
+    for _ in range(400):
+        x = [0] * cact4b.dimension
+        for i in rng.sample(range(cact4b.dimension), rng.randint(1, 8)):
+            x[i] = rng.randint(-1, 2)
+        vectors.append(tuple(x))
+    cases[cact4b] = [x for x in vectors if sum(x) <= 10]
+    for G, xs in cases.items():
+        for x in xs:
             want = oracles.oracle_first_witness(G, x)
             if want is not None:
                 want = tuple(sorted(want, key=lambda e: (G.index(e[0]), G.index(e[1]))))
             assert decompose(G, x) == want, x
+
+
+def test_member_answers_at_any_degree(triangle):
+    # the search keeps its own stack: a witness of 1,500 edges is no
+    # recursion 1,500 calls deep
+    assert member(triangle, (1500, 1500, 0)) is True
+    assert member(triangle, (1500, 1500, 1)) is False
+
+
+def test_member_memo_is_kept_apart_per_lane_width():
+    # at 8-bit lanes (0, 0, 1, 1) packs to 1 << 16 | 1 << 24, and so does
+    # (0, 257, 0, 0) at 16-bit lanes; a shared memo would answer the second
+    # from the first's entry
+    G = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+    assert decompose(G, (0, 0, 1, 1)) == (("c", "d"),)
+    assert decompose(G, (0, 257, 0, 0)) is None
+    assert member(G, (0, 257, 0, 0)) is False
 
 
 def test_member_stays_definitional_on_holes(t1min):
