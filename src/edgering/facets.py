@@ -6,19 +6,26 @@ where regular means every component left after deleting v still has an odd
 cycle) and one per fundamental set T (the balance hyperplane comparing T
 against its neighborhood). Membership, facet generators, and facet rank all
 reduce to integer evaluations against this list.
+
+The list is kept on vertex bitmasks (vertex i in bit i) from the walk that
+finds the fundamental sets to the lane columns of `cone_contains`: a
+fundamental set is the pair of masks (T, N(T)), a hyperplane the masks of
+its +1 and -1 coefficients. Labels and coefficient tuples are built from
+them on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BipartiteGraphError
 from .graph_core import (
     Graph,
+    _sweep,
     bits,
     check_vector,
-    indicator,
     odd_everywhere,
     per_graph,
     require_connected,
@@ -26,32 +33,60 @@ from .graph_core import (
 from .lattices import IntegerLattice
 
 
+def _members(labels: tuple, mask: int) -> frozenset:
+    # frozenset of a set, not of a generator: copying a set sizes the
+    # table to fit, where growing one from a generator can leave it half
+    # empty
+    return frozenset({labels[i] for i in bits(mask)})
+
+
 @dataclass(frozen=True)
 class FundamentalSet:
     """An independent set whose contact graph with its neighborhood is
     connected and whose complement (beyond the neighborhood) has an odd
-    cycle in every component."""
+    cycle in every component.
 
-    vertices: frozenset
-    neighborhood: frozenset
+    Stored as the masks of T and N(T) over `labels`, the graph's vertex
+    tuple; `vertices` and `neighborhood` are their label sets."""
 
-    def sort_key(self, G: Graph) -> tuple:
-        return (len(self.vertices), tuple(sorted(G.index(v) for v in self.vertices)))
+    mask: int
+    neighborhood_mask: int
+    labels: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def vertices(self) -> frozenset:
+        return _members(self.labels, self.mask)
+
+    @cached_property
+    def neighborhood(self) -> frozenset:
+        return _members(self.labels, self.neighborhood_mask)
+
+    def sort_key(self) -> tuple:
+        return _order(self.mask)
 
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """A supporting hyperplane, stored as its integer coefficient vector.
+    """A supporting hyperplane, stored as the masks of its +1 and -1
+    coefficients over `dimension` coordinates.
 
     The cone lies in the half-space functional(x) >= 0. Regular-vertex
     hyperplanes have the indicator of the vertex as coefficients; fundamental
     hyperplanes carry +1 on the neighborhood and -1 on the set itself.
     """
 
-    coefficients: tuple
+    plus: int
+    minus: int
+    dimension: int
     kind: str  # "regular" | "fundamental"
     vertex: object = None
     sets: tuple = field(default=(), compare=False)
+
+    @cached_property
+    def coefficients(self) -> tuple:
+        """The integer coefficient vector, in the graph's vertex order."""
+        return tuple((self.plus >> i & 1) - (self.minus >> i & 1)
+                     for i in range(self.dimension))
 
     def value(self, x: Sequence[int]) -> int:
         return sum(c * xc for c, xc in zip(self.coefficients, x))
@@ -59,10 +94,9 @@ class Hyperplane:
     def as_json(self, G: Graph) -> dict:
         if self.kind == "regular":
             return {"kind": "regular", "vertex": str(self.vertex)}
-        T = sorted(self.sets[0].vertices, key=G.index)
         return {
             "kind": "fundamental",
-            "T": [str(v) for v in T],
+            "T": [str(G.vertices[i]) for i in bits(self.minus)],
             "coeffs": list(self.coefficients),
         }
 
@@ -116,21 +150,31 @@ def regular_vertices(G: Graph) -> tuple:
 
 @per_graph
 def fundamental_sets(G: Graph) -> tuple:
-    """Every fundamental set, enumerated exhaustively over independent sets,
-    sorted by (size, vertex indices)."""
+    """Every fundamental set, sorted by (size, vertex indices)."""
     require_connected(G)
+    adj, full = G.neighbor_masks, (1 << G.dimension) - 1
+    # contact[i]: the vertices at distance exactly 2 from i. Two vertices
+    # of an independent set meet in its contact graph (T and N(T) with the
+    # edges of G between them) iff they have a common neighbor, so T is
+    # contact-connected iff it is connected under `contact`
+    contact = []
+    for i, a in enumerate(adj):
+        reach = 0
+        for j in bits(a):
+            reach |= adj[j]
+        contact.append(reach & ~(a | 1 << i))
+    odd = odd_everywhere(adj, full)
     found: list = []
-    _fundamental_masks(G.neighbor_masks, (1 << G.dimension) - 1, 0, 0, 0, (), found)
+    for v in range(G.dimension):
+        _grow(adj, contact, 0, 0, (2 << v) - 1, ((full, odd),), not odd, 1 << v,
+              found)
+    found.sort(key=lambda TN: _order(TN[0]))
+    return tuple(FundamentalSet(T, N, G.vertices) for T, N in found)
 
-    def members(mask: int) -> frozenset:
-        # frozenset of a set, not of a generator: copying a set sizes the
-        # table to fit, where growing one from a generator can leave it
-        # half empty, and the facet list keeps thousands of these
-        return frozenset({G.vertices[i] for i in bits(mask)})
 
-    out = [FundamentalSet(members(T), members(N)) for T, N in found]
-    out.sort(key=lambda F: F.sort_key(G))
-    return tuple(out)
+def _order(mask: int) -> tuple:
+    """(size, vertex indices ascending): the facet list's order."""
+    return mask.bit_count(), tuple(bits(mask))
 
 
 # fundamental_sets walks vertex sets as bitmasks against the graph's
@@ -138,30 +182,43 @@ def fundamental_sets(G: Graph) -> tuple:
 # at module level: a recursive closure over G would be a reference cycle
 # holding G, and everything cached on it, until the cycle collector runs.
 
-def _fundamental_masks(adj: Sequence[int], full: int, start: int, T: int, N: int,
-                       parts: tuple, found: list) -> None:
-    """Append (T, N(T)) for every fundamental set that extends the
-    independent set T by vertices of index `start` or later, depth first.
-    Extending T only by vertices outside N(T) keeps it independent.
+def _grow(adj: Sequence[int], contact: Sequence[int], T: int, N: int, seen: int,
+          parts: tuple, even: int, ext: int, found: list) -> None:
+    """Extend the contact-connected independent set T (N = N(T)) by each
+    vertex of `ext` in turn, depth first, and append (T', N(T')) for every
+    fundamental T' reached.
 
-    `parts` holds, per component of T's contact graph (T and N(T) with the
-    edges of G between them), that component's part of N(T). Vertices of
-    T meet only through common neighbors, so a new vertex i merges exactly
-    the components whose parts meet N(i), and T is contact-connected iff
-    one part is left."""
-    for i in range(start, len(adj)):
-        if N >> i & 1:
-            continue
-        merged, apart = adj[i], []
-        for part in parts:
-            if part & adj[i]:
-                merged |= part
-            else:
-                apart.append(part)
-        T_i, N_i = T | 1 << i, N | adj[i]
-        if not apart and odd_everywhere(adj, full & ~(T_i | N_i)):
-            found.append((T_i, N_i))
-        _fundamental_masks(adj, full, i + 1, T_i, N_i, (merged, *apart), found)
+    This is Wernicke's ESU (2006) on the `contact` graph: T grows from its
+    least vertex v; `seen` holds every vertex up to v, T and T's contact
+    neighbours, and a child's candidates are its parent's remaining ones
+    plus the new vertex's contact neighbours not yet seen. So every
+    contact-connected set comes out exactly once. Candidates in N(T) are
+    dropped: they would break independence.
+
+    `parts` holds the components of G - N[T], each with whether it has an
+    odd cycle, and `even` counts those without one; T is fundamental iff
+    `even` is 0. Adding w removes N[w] from the one component holding w,
+    so only that component is swept again."""
+    while ext:
+        low = ext & -ext
+        ext ^= low
+        w = low.bit_length() - 1
+        for k, (part, odd) in enumerate(parts):
+            if part & low:
+                break
+        rest = part & ~(low | adj[w])
+        split = parts[:k] + parts[k + 1:]
+        even_w = even - (not odd)
+        while rest:
+            piece, _, piece_odd = _sweep(adj, rest & -rest, rest)
+            split += ((piece, piece_odd),)
+            even_w += not piece_odd
+            rest &= ~piece
+        T_w, N_w = T | low, N | adj[w]
+        if not even_w:
+            found.append((T_w, N_w))
+        _grow(adj, contact, T_w, N_w, seen | contact[w], split, even_w,
+              (ext | contact[w] & ~seen) & ~N_w, found)
 
 
 @per_graph
@@ -172,12 +229,11 @@ def supporting_hyperplanes(G: Graph) -> tuple:
     is therefore the one-element provenance (T,) of a fundamental
     hyperplane. regular_vertices, called first, refuses disconnected and
     bipartite G."""
-    out = [Hyperplane(indicator(G, (v,)), "regular", vertex=v)
+    d = G.dimension
+    out = [Hyperplane(1 << G.index(v), 0, d, "regular", vertex=v)
            for v in regular_vertices(G)]
-    for F in fundamental_sets(G):
-        coeffs = tuple((v in F.neighborhood) - (v in F.vertices)
-                       for v in G.vertices)
-        out.append(Hyperplane(coeffs, "fundamental", sets=(F,)))
+    out += [Hyperplane(F.neighborhood_mask, F.mask, d, "fundamental", sets=(F,))
+            for F in fundamental_sets(G)]
     return tuple(out)
 
 
@@ -204,13 +260,28 @@ def cone_contains(G: Graph, x: Sequence[int]) -> bool:
 @per_graph
 def _cone_columns(G: Graph, width: int) -> tuple:
     # column i holds every supporting hyperplane's coefficient of x_i,
-    # hyperplane h's in lane h; `signs`, all lanes at value 0, is their
-    # bias and their top bits at once
+    # hyperplane h's in lane h: bit i of h's +1 mask less bit i of its -1
+    # mask. `signs`, all lanes at value 0, is their bias and their top bits
+    # at once
     hyps = supporting_hyperplanes(G)
-    signs = _lanes([0] * len(hyps), width)
-    columns = tuple(_lanes(column, width) - signs
-                    for column in zip(*(h.coefficients for h in hyps)))
-    return columns, signs
+    plus = _bit_columns([h.plus for h in hyps], G.dimension, width)
+    minus = _bit_columns([h.minus for h in hyps], G.dimension, width)
+    return (tuple(p - m for p, m in zip(plus, minus)),
+            _lanes([0] * len(hyps), width))
+
+
+def _bit_columns(masks: Sequence[int], dimension: int, width: int) -> list:
+    """Column i of the bit matrix whose row h is masks[h], for i below
+    `dimension`: bit i of masks[h] in lane h. The masks are packed width - 1
+    bits at a time, chunk c of mask h as the value of lane h, and each
+    column is then one shift and one and of its chunk."""
+    step, signs = width - 1, _lanes([0] * len(masks), width)
+    ones = signs >> step
+    columns = []
+    for base in range(0, dimension, step):
+        rows = _lanes([m >> base & (1 << step) - 1 for m in masks], width) - signs
+        columns += [rows >> j & ones for j in range(min(step, dimension - base))]
+    return columns
 
 
 @per_graph

@@ -178,10 +178,11 @@ def q_vector(G: Graph, family: ExceptionalFamily) -> tuple:
 def admissible_fundamental_sets(G: Graph, family: ExceptionalFamily) -> tuple:
     """Fundamental sets whose neighborhood contains the hub and whose closed
     neighborhood misses every cycle of the family."""
-    hub = _require_cactus_type(G).hub
+    hub = 1 << G.index(_require_cactus_type(G).hub)
+    cycles = sum(1 << G.index(v) for v in family.vertex_set)
     return tuple(
         F for F in facets_mod.fundamental_sets(G)
-        if hub in F.neighborhood and not (F.vertices | F.neighborhood) & family.vertex_set
+        if F.neighborhood_mask & hub and not (F.mask | F.neighborhood_mask) & cycles
     )
 
 

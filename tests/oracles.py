@@ -2,7 +2,8 @@
 
 Everything here recomputes a quantity by a different route than the
 library: Floyd-Warshall distances, delete-and-count cutpoints, subset
-enumeration for cycles, blocks and fundamental sets, multiset enumeration for
+enumeration for cycles, blocks and fundamental sets, backtracking over
+independent sets for fundamental sets at larger scale, multiset enumeration for
 semigroup membership, an unmemoized search on labels for its witnesses, LP
 feasibility and a bipartite-double-cover flow for cone membership, the
 classical closed form for the edge lattice, echelon row reduction for any
@@ -275,6 +276,34 @@ def _components_of(vertices, edges) -> list:
     return comps
 
 
+def _fundamental_neighborhood(G, T) -> frozenset | None:
+    """N(T) if the independent set T meets the other two defining
+    conditions of a fundamental set, checked directly: its contact graph
+    (T and N(T) with the edges of G between them) is connected, and every
+    component of G beyond T and N(T) is non-bipartite. None otherwise."""
+    N = set()
+    for t in T:
+        N |= set(G.neighbors(t))
+    contact_vertices = T | N
+    contact_edges = [
+        (a, b)
+        for a, b in G.edges
+        if (a in T and b in N) or (b in T and a in N)
+    ]
+    if _component_count(contact_vertices, contact_edges) != 1:
+        return None
+    rest = [v for v in G.vertices if v not in contact_vertices]
+    edges = [
+        (a, b)
+        for a, b in G.edges
+        if a not in contact_vertices and b not in contact_vertices
+    ]
+    comps = _components_of(rest, edges)
+    if all(not oracle_is_bipartite_subset(G, c) for c in comps):
+        return frozenset(N)
+    return None
+
+
 def oracle_fundamental_sets(G) -> set:
     """Brute force over all nonempty vertex subsets, checking the three
     defining conditions directly."""
@@ -282,30 +311,34 @@ def oracle_fundamental_sets(G) -> set:
     out = set()
     for k in range(1, len(verts) + 1):
         for combo in itertools.combinations(verts, k):
-            T = set(combo)
             if any(G.has_edge(a, b) for a, b in itertools.combinations(combo, 2)):
                 continue
-            N = set()
-            for t in T:
-                N |= set(G.neighbors(t))
-            # contact bipartite graph on T u N(T) must be connected
-            contact_vertices = T | N
-            contact_edges = [
-                (a, b)
-                for a, b in G.edges
-                if (a in T and b in N) or (b in T and a in N)
-            ]
-            if _component_count(contact_vertices, contact_edges) != 1:
+            if _fundamental_neighborhood(G, set(combo)) is not None:
+                out.add(frozenset(combo))
+    return out
+
+
+def oracle_fundamental_set_list(G) -> list:
+    """(T, N(T)) for every fundamental set, sorted by (size, vertex
+    indices), with the defining conditions of oracle_fundamental_sets
+    checked on the independent sets alone. A set-based backtracking lists
+    those: it extends T only by later vertices with no neighbor in T, and
+    every subset of an independent set is independent, so each comes out
+    once. Reaches graphs whose subsets are too many to scan."""
+    verts = list(G.vertices)
+    out = []
+    stack = [((), 0)]
+    while stack:
+        T, start = stack.pop()
+        for k in range(start, len(verts)):
+            if any(G.has_edge(verts[k], t) for t in T):
                 continue
-            rest = [v for v in verts if v not in contact_vertices]
-            edges = [
-                (a, b)
-                for a, b in G.edges
-                if a not in contact_vertices and b not in contact_vertices
-            ]
-            comps = _components_of(rest, edges)
-            if all(not oracle_is_bipartite_subset(G, c) for c in comps):
-                out.add(frozenset(T))
+            grown = T + (verts[k],)
+            N = _fundamental_neighborhood(G, set(grown))
+            if N is not None:
+                out.append((frozenset(grown), N))
+            stack.append((grown, k + 1))
+    out.sort(key=lambda TN: (len(TN[0]), sorted(map(G.index, TN[0]))))
     return out
 
 

@@ -317,12 +317,13 @@ def test_verify_paper_tampered_fixture(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] 3. main-theorem" in out
     assert "NotDiameterFourCactus" in out  # diagnostic names the cause
-    # the failing fixture hides no other: t2min is still checked and reported
+    # the failing fixture hides no other: the rest are still checked and reported
     (report,) = json.loads(path.read_text())
     details = report["details"]
-    assert set(details) == {"t1min", "t2min"}
+    assert set(details) == {"t1min", "t2min", "cact4a", "cact4b"}
     assert "NotDiameterFourCactus" in details["t1min"]["error"]
-    assert details["t2min"]["verdict"] == {"normal": False, "s2": True}
+    for name in ("t2min", "cact4a", "cact4b"):
+        assert details[name]["verdict"] == {"normal": False, "s2": True}, name
 
 
 def test_verify_paper_failing_criterion_keeps_its_title(tmp_path, capsys):

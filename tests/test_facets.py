@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -65,7 +67,7 @@ def test_fundamental_sets_match_subset_oracle(small_fixture_graphs):
 def test_fundamental_sets_sorted_and_consistent(t2min):
     fsets = fundamental_sets(t2min)
     assert len(fsets) == 40
-    keys = [F.sort_key(t2min) for F in fsets]
+    keys = [F.sort_key() for F in fsets]
     assert keys == sorted(keys)
     for F in fsets:
         assert F.neighborhood == frozenset().union(
@@ -86,6 +88,51 @@ def test_fundamental_sets_match_subset_oracle_beyond_fixtures(d13):
                                       if t in F.vertices}, (G.vertices, F)
         keys = [(len(F.vertices), tuple(sorted(map(G.index, F.vertices)))) for F in fsets]
         assert keys == sorted(set(keys)), G.vertices
+
+
+# the cacti the benchmark's point queries run on, d = 17, 19 and 21, with
+# their numbers of fundamental sets
+QUERY_CACTUS_FACETS = [((4, (1, 0, 1, 0, 1, 0, 1, 0)), 279),
+                       ((5, (1, 0, 1, 0, 1, 0, 1, 0, 0, 0)), 536),
+                       ((5, (1, 0, 1, 0, 1, 0, 1, 0, 1, 0)), 1065)]
+
+
+def test_fundamental_sets_match_independent_set_oracle_at_query_scale():
+    # d = 17: 2,481 independent sets, beyond the subset oracle's 2**17 subsets
+    G = build_triangular_cactus(triangles=4, pendants=(1, 0, 1, 0, 1, 0, 1, 0))
+    got = [(F.vertices, F.neighborhood) for F in fundamental_sets(G)]
+    assert got == oracles.oracle_fundamental_set_list(G)
+
+
+@pytest.mark.parametrize("shape, count", QUERY_CACTUS_FACETS,
+                         ids=[f"d{1 + 2 * n + 2 * sum(s)}" for (n, s), _ in QUERY_CACTUS_FACETS])
+def test_fundamental_set_counts_of_the_query_cacti(shape, count):
+    n, pendants = shape
+    assert len(fundamental_sets(build_triangular_cactus(triangles=n, pendants=pendants))) == count
+
+
+def test_facets_are_freed_with_the_graph(t1min):
+    # the label sets and coefficients built on demand refer to the graph's
+    # vertex tuple, never to the graph: with the collector off, dropping G
+    # frees it while its hyperplanes live on
+    tag = "_facets_freed"
+    G = Graph([f"{v}{tag}" for v in t1min.vertices],
+              [(f"{a}{tag}", f"{b}{tag}") for a, b in t1min.edges])
+    gc.disable()
+    try:
+        assert cone_contains(G, (2,) + (0,) * (G.dimension - 1)) is False
+        assert cone_contains(G, rho_vector(G, f"w{tag}", f"x1{tag}"))
+        hyps = supporting_hyperplanes(G)
+        coefficients = [h.coefficients for h in hyps]
+        sets = [(F.vertices, F.neighborhood) for h in hyps for F in h.sets]
+        ref = weakref.ref(G)
+        del G
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert [h.coefficients for h in hyps] == coefficients
+    assert [(F.vertices, F.neighborhood) for h in hyps for F in h.sets] == sets
+    assert all(str(v).endswith(tag) for T, N in sets for v in T | N)
 
 
 def test_bowtie_single_vertex_fundamental_sets(bowtie):
