@@ -17,6 +17,7 @@ serves components, connectivity, eccentricities and the odd-cycle test.
 from __future__ import annotations
 
 import functools
+import inspect
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -41,10 +42,16 @@ Edge = tuple  # canonical (u, v) with index(u) < index(v)
 
 def per_graph(fn):
     """Memoize fn(G, *args) in the cache of the graph instance G, so the
-    result is freed with G. Equal graphs built separately share nothing."""
+    result is freed with G. Equal graphs built separately share nothing.
+    Keyword arguments are bound to fn's parameters first, so f(G, D=8) and
+    f(G, 8) share one entry."""
+    signature = inspect.signature(fn)
 
     @functools.wraps(fn)
     def cached(G, *args, **kwargs):
+        if kwargs:
+            bound = signature.bind(G, *args, **kwargs)
+            args, kwargs = bound.args[1:], bound.kwargs
         key = (fn, *args, *sorted(kwargs.items()))
         if key not in G._cache:
             G._cache[key] = fn(G, *args, **kwargs)

@@ -9,8 +9,9 @@ with a byte per coordinate, and only results handed out are unpacked. The
 oracle packs the same way, one lane per coordinate, its width the smallest
 multiple of 8 bits that holds max(x): a search step subtracts one packed
 generator, and its memo maps a packed residual (one table per lane width)
-to the edge number its first witness takes first, or -1. S_D is
-built once per degree bound as degree slabs. The normalization is enumerated
+to the edge number its first witness takes first, or -1. One record per
+(G, D) keeps |N_D| and the holes; N_D and S_D are temporaries, S_D built
+once, as degree slabs, for (B) below and the holes. The normalization is enumerated
 two independent ways and cross-checked: (A) a walk over nonnegative vectors
 that keeps every fundamental hyperplane's value in a 16-bit lane of one int,
 so a step is one addition and the cone's inequalities are read off the
@@ -217,40 +218,24 @@ def _check_degree(D: int) -> None:
         )
 
 
-@per_graph
 def enumerate_semigroup(G: Graph, D: int) -> frozenset:
     """All semigroup elements of degree <= D: closure of {0} under adding
     edge generators."""
-    slabs = _semigroup_slabs(G, D)
-    return _unpack_all((n for slab in slabs for n in slab), G.dimension)
+    return _unpack_all(frozenset().union(*_semigroup_slabs(G, D)), G.dimension)
 
 
-@per_graph
 def enumerate_normalization(G: Graph, D: int) -> frozenset:
-    """All vectors of degree <= D in cone ∩ lattice, computed by two
-    independent methods that must agree.
-
-    Method A walks nonnegative integer vectors coordinate by coordinate with
-    the fundamental hyperplanes' values in lanes of one int, raising each
-    coordinate while no lane shows that the cone's fundamental-set
-    inequalities can no longer be met (the regular-vertex inequalities hold
-    automatically on nonnegative vectors); a leaf must have every
-    hyperplane value nonnegative and even degree. Even degree is the edge
-    lattice's one congruence, checked once per graph on its derived
-    congruences, so the last coordinate steps two units at a time.
-    Method B closes the semigroup's degree slabs under adding the
-    cycle-pair vectors that, with the generators, generate the
-    normalization. Disagreement raises MethodMismatchError: either a bug
-    or a graph outside the supported class.
-    """
-    return _unpack_all(_normalization(G, D), G.dimension)
+    """All vectors of degree <= D in cone ∩ lattice, by the two independent
+    methods of the module docstring, which must agree: (A) the lane walk
+    (the regular-vertex inequalities hold on nonnegative vectors) and (B)
+    the closure of S_D's slabs. Disagreement raises MethodMismatchError:
+    either a bug or a graph outside the supported class."""
+    return _unpack_all(_normalization(G, D)[0], G.dimension)
 
 
-@per_graph
 def holes(G: Graph, D: int) -> frozenset:
     """Normalization elements of degree <= D that are not in the semigroup."""
-    gap = _normalization(G, D).difference(*_semigroup_slabs(G, D))
-    return _unpack_all(gap, G.dimension)
+    return _enumeration(G, D)[1]
 
 
 def hole_report(G: Graph, D: int) -> list[tuple]:
@@ -264,20 +249,28 @@ def hole_report(G: Graph, D: int) -> list[tuple]:
 
 
 @per_graph
-def _normalization(G: Graph, D: int) -> frozenset:
-    # N_D packed, once per (G, D): both methods run and must agree
+def _enumeration(G: Graph, D: int) -> tuple:
+    # the one cached result of enumerating to degree D: (|N_D|, the holes
+    # N_D - S_D unpacked). N_D and the slabs of S_D are freed on return
+    normalization, slabs = _normalization(G, D)
+    return len(normalization), _unpack_all(normalization.difference(*slabs), G.dimension)
+
+
+def _normalization(G: Graph, D: int) -> tuple:
+    # N_D packed, and S_D's slabs, built once for method B and the caller:
+    # both methods run and must agree
+    slabs = _semigroup_slabs(G, D)
     by_filter = _enumerate_by_inequalities(G, D)
-    by_closure = _enumerate_by_closure(G, D)
+    by_closure = _enumerate_by_closure(G, D, slabs)
     if by_filter != by_closure:
         d = G.dimension
         raise MethodMismatchError(_unpack_all(by_filter - by_closure, d),
                                   _unpack_all(by_closure - by_filter, d))
     # keep the closure's set: its semigroup points are the slabs' own int
     # objects, where A's are copies
-    return by_closure
+    return by_closure, slabs
 
 
-@per_graph
 def _semigroup_slabs(G: Graph, D: int) -> tuple:
     """S_D packed, by degree: entry j holds the elements of degree 2j."""
     _check_degree(D)
@@ -399,10 +392,11 @@ def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:
             return
 
 
-def _enumerate_by_closure(G: Graph, D: int) -> frozenset:
+def _enumerate_by_closure(G: Graph, D: int, slabs: tuple | None = None) -> frozenset:
+    # method B on S_D's slabs, built here unless the caller holds them
     from .exceptional import exceptional_pairs, pair_vector
 
-    slabs = _semigroup_slabs(G, D)
+    slabs = _semigroup_slabs(G, D) if slabs is None else slabs
     # pair vectors by half degree; adding generators commutes with adding
     # pairs, so N's slab j is S's slab j plus each pair on N's slab j - step
     pairs: dict[int, list[int]] = {}

@@ -488,13 +488,12 @@ def oracle_normalization(G, D) -> frozenset:
     )
 
 
-def oracle_family_points(G, hf, D) -> frozenset:
-    """The definitional scan: every x of the degree-D normalization whose
-    difference from the family's shift lies in its face lattice."""
-    from edgering import enumerate_normalization
-
+def oracle_family_points(hf, normalization) -> frozenset:
+    """The definitional scan: every x of the degree-truncated normalization
+    `normalization` whose difference from the family's shift lies in its
+    face lattice."""
     return frozenset(
-        x for x in enumerate_normalization(G, D)
+        x for x in normalization
         if hf.face.lattice.contains([a - b for a, b in zip(x, hf.shift)])
     )
 

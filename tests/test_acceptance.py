@@ -7,11 +7,12 @@ hide another.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from edgering import acceptance
+from edgering import acceptance, semigroup
 
 CRITERIA = acceptance.criterion_names()
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,3 +49,25 @@ def test_reports_match_the_golden_report(acceptance_reports):
     got = json.dumps([acceptance_reports[name] for name in CRITERIA],
                      indent=2, sort_keys=True)
     assert got == (GOLDEN / "verify_paper.json").read_text()
+
+
+def test_each_degree_is_enumerated_once_per_graph(monkeypatch):
+    # `normality` and `cross-check` share their degree-12 records: one
+    # method-A walk and one build of S_D's slabs per (graph, degree). The
+    # run keeps its graphs alive, so id(G) names one graph throughout
+    seen = {}
+    for name in ("_enumerate_by_inequalities", "_semigroup_slabs"):
+        def counted(G, D, *rest, _fn=getattr(semigroup, name),
+                    _calls=seen.setdefault(name, [])):
+            _calls.append((id(G), D))
+            return _fn(G, D, *rest)
+
+        monkeypatch.setattr(semigroup, name, counted)
+    reports = acceptance.run_all(only=["normality", "cross-check"])
+    assert [r["passed"] for r in reports] == [True, True]
+    walks, slabs = (Counter(calls) for calls in seen.values())
+    assert walks == slabs
+    assert len(walks) == len(set(acceptance.SMALL_FIXTURES)
+                             | set(acceptance.NORMAL_FIXTURES)
+                             | set(acceptance.NON_NORMAL_FIXTURES))
+    assert set(walks.values()) == {1}

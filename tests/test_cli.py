@@ -142,12 +142,16 @@ def test_analyze_deterministic(t1min_file, tmp_path, capsys):
 def test_analyze_odd_cycle_set_graph(tmp_path, capsys):
     # d=13, three pendant triangles on distinct hub triangles: exit 3 before
     # the odd cycle set's family covered P_1 + P_3 + P_5 + e_w
-    path = tmp_path / "d13.graph"
+    path, report = tmp_path / "d13.graph", tmp_path / "d13.json"
     assert main(["gen", "--n", "3", "--s", "1,0,1,0,1,0", "-o", str(path)]) == 0
-    assert main(["analyze", str(path), "--degree", "10", "--max-d", "13"]) == 0
+    assert main(["analyze", str(path), "--degree", "10", "--max-d", "13",
+                 "--json", str(report)]) == 0
     out = capsys.readouterr().out
     assert "decomposition: 13 hole families" in out
     assert "verdict: normal=false s2=true" in out
+    # the whole report, byte for byte, as CI's plain install checks it too
+    golden = ROOT / "tests" / "golden" / "analyze_d13_deg10.json"
+    assert report.read_bytes() == golden.read_bytes()
 
 
 def test_analyze_normal_graph(tmp_path, capsys):

@@ -31,6 +31,7 @@ from edgering.graph_core import (
     is_connected,
     neighbors_of_set,
     odd_everywhere,
+    per_graph,
 )
 
 
@@ -42,6 +43,23 @@ def test_graph_construction_canonicalizes_edges():
     assert G.edges == (("a", "b"), ("b", "c"))
     assert G.edge_count == 2
     assert G.dimension == 3
+
+
+def test_per_graph_keys_keyword_and_positional_calls_alike():
+    calls = []
+
+    @per_graph
+    def shifted(G, D, step):
+        calls.append((D, step))
+        return [D + step]
+
+    G = Graph(("a", "b"), (("a", "b"),))
+    first = shifted(G, 8, 2)
+    for again in (shifted(G, 8, step=2), shifted(G, D=8, step=2), shifted(G, step=2, D=8)):
+        assert again is first
+    assert shifted(G, 8, step=3) == [11]
+    assert calls == [(8, 2), (8, 3)]
+    assert len(G._cache) == 2
 
 
 def test_graph_duplicate_vertex_rejected():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from edgering import (
     classify,
     cone_contains,
     default_truncation,
+    enumerate_normalization,
     enumerate_semigroup,
     exceptional_families,
     exceptional_pairs,
@@ -402,6 +404,22 @@ def test_verdict_leaves_the_member_memo_empty():
     assert semigroup._memo(G) == {}
 
 
+def test_no_enumeration_intermediate_outlives_a_verdict():
+    # the cache keeps |N_D| and the holes per rung, not N_D or S_D: clearing
+    # it after a degree-12 ladder frees little (the slabs alone are MBs)
+    G = load("t1min")  # a fresh instance, its cache empty
+    tracemalloc.start()
+    try:
+        assert s2_verdict(G, 12)["s2"] is True
+        held = tracemalloc.get_traced_memory()[0]
+        G._cache.clear()
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed < 0.5 * 2**20
+
+
 def test_results_are_freed_with_the_graph(t1min):
     tag = "_freed_with_graph"
     G = Graph([f"{v}{tag}" for v in t1min.vertices],
@@ -449,8 +467,10 @@ def test_family_points_match_the_full_scan(request, name, D):
     G = request.getfixturevalue(name)
     families = hole_decomposition(G)
     assert families
+    # one enumeration of N_D serves every family's scan
+    N = enumerate_normalization(G, D)
     for hf in families:
-        assert hf.points(G, D) == oracles.oracle_family_points(G, hf, D)
+        assert hf.points(G, D) == oracles.oracle_family_points(hf, N)
 
 
 @pytest.mark.parametrize("name, D", [("t1min", 10), ("t2min", 10), ("d13", 10),

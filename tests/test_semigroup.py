@@ -362,6 +362,15 @@ def test_method_a_leaves_no_garbage():
         gc.enable()
 
 
+def test_holes_by_keyword_reads_the_same_record():
+    G = build("t1min")
+    found = holes(G, 10)
+    entries = len(G._cache)
+    assert holes(G, D=10) is found
+    assert semigroup._enumeration(G, D=10) is semigroup._enumeration(G, 10)
+    assert len(G._cache) == entries
+
+
 def test_holes_empty_for_normal_fixtures(triangle, bowtie, friend3, cac3):
     for G in (triangle, bowtie, friend3, cac3):
         assert holes(G, 12) == frozenset()
@@ -406,8 +415,9 @@ def test_method_mismatch_reports_tuple_vectors(monkeypatch, dropped_by):
     # one method loses the degree-6 hole; the error names it as a vector
     q = pair_vector(load("t1min"), exceptional_pairs(load("t1min"))[0])
     method = getattr(semigroup, dropped_by)
+    # method B may be handed S_D's slabs: pass them through
     monkeypatch.setattr(semigroup, dropped_by,
-                        lambda G, D: method(G, D) - {_pack(q)})
+                        lambda G, D, *slabs: method(G, D, *slabs) - {_pack(q)})
     with pytest.raises(MethodMismatchError) as err:
         enumerate_normalization(build("t1min"), 8)
     only_a, only_b = frozenset({q}), frozenset()
