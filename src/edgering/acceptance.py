@@ -25,14 +25,11 @@ from .errors import EdgeRingError, MethodMismatchError
 from .exceptional import (
     double_w_edge_cases,
     edge_augment_cases,
-    exceptional_pairs,
-    is_normal,
     pair_sum_cases,
-    pair_vector,
     require_diameter4_cactus,
 )
 from .facets import face_of, fundamental_sets, regular_vertices, supporting_hyperplanes
-from .graph_core import cutpoints, diameter
+from .graph_core import cutpoints, diameter, exceptional_pairs, is_normal, pair_vector
 from .hole_families import classify, s2_verdict
 from .semigroup import _enumeration, holes, member
 
@@ -225,8 +222,9 @@ def criterion_names() -> tuple:
 
 def run_all(only=None, fixtures_dir=None) -> list:
     """Run the suite (or the named subset) and return one report per
-    criterion. Unexpected library errors are converted into failing
-    reports rather than aborting the run."""
+    criterion. A criterion that raises EdgeRingError, OSError or ValueError
+    (a refused graph, an unreadable or malformed fixture) gets a failing
+    report and the run goes on; any other exception is a bug and propagates."""
     wanted = None
     if only is not None:
         wanted = {name.strip() for name in only}

@@ -22,9 +22,14 @@ from .errors import (
     EdgeRingError,
     MethodMismatchError,
 )
-from .exceptional import exceptional_pairs, is_normal
 from .facets import fundamental_sets, regular_vertices, supporting_hyperplanes
-from .graph_core import CactusSpec, diameter, is_triangular_cactus
+from .graph_core import (
+    CactusSpec,
+    diameter,
+    exceptional_pairs,
+    is_normal,
+    is_triangular_cactus,
+)
 from .hole_families import classify, degree_cap, s2_verdict, verify_decomposition
 from .io import (
     format_graph_json,

@@ -1,22 +1,13 @@
-"""Exceptional pairs of odd cycles, the normality criterion, and closed-form
-membership tests for sums built from cycle pairs on diameter-4 triangular
-cacti.
-
-An exceptional pair is two vertex-disjoint chordless odd cycles with no edge
-between them. Their indicator-sum vector is the canonical element of the
-normalization that fails semigroup membership, which is exactly why the edge
-ring of a graph is normal iff no exceptional pair exists.
-
-The three lemma_* functions are closed forms proved only for triangular
-cacti of diameter 4; they refuse other inputs rather than extrapolate. Each
-is checked exhaustively against the membership oracle in the tests.
+"""Closed-form membership tests for sums built from exceptional pairs, their
+case generators and the reports that check each case against the membership
+oracle. The closed forms are proved only for triangular cacti of diameter 4:
+`require_diameter4_cactus` gates them, and they refuse other inputs rather
+than extrapolate. The pairs and the odd cycle condition live in `graph_core`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import (
     NotAnEdgeError,
@@ -24,68 +15,21 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .graph_core import (
-    Cycle,
+    ExceptionalPair,
     Graph,
+    _add,
     diameter,
+    exceptional_pairs,
     hub_vertex,
     indicator,
+    is_exceptional,
     is_triangular_cactus,
     minimal_odd_cycles,
     neighbors_of_set,
+    pair_vector,
     per_graph,
 )
-
-
-@dataclass(frozen=True)
-class ExceptionalPair:
-    """Unordered pair of vertex-disjoint, bridge-free chordless odd cycles;
-    `first` precedes `second` in the canonical cycle order."""
-
-    first: Cycle
-    second: Cycle
-
-    def cycles(self) -> tuple[Cycle, Cycle]:
-        return (self.first, self.second)
-
-    @property
-    def vertex_set(self) -> frozenset:
-        return self.first.vertex_set | self.second.vertex_set
-
-    def as_json(self) -> list:
-        return [list(map(str, self.first.vertices)), list(map(str, self.second.vertices))]
-
-
-def cycle_vector(G: Graph, cycle: Cycle) -> tuple:
-    """Indicator vector of the cycle's vertex set; degree = cycle length."""
-    return indicator(G, cycle.vertices)
-
-
-def pair_vector(G: Graph, pair: ExceptionalPair) -> tuple:
-    return _add(cycle_vector(G, pair.first), cycle_vector(G, pair.second))
-
-
-def is_exceptional(G: Graph, a: Cycle, b: Cycle) -> bool:
-    """Vertex-disjoint and no bridge edge from one cycle to the other."""
-    va, vb = a.vertex_set, b.vertex_set
-    return va.isdisjoint(vb) and neighbors_of_set(G, va).isdisjoint(vb)
-
-
-@per_graph
-def exceptional_pairs(G: Graph) -> tuple:
-    """All unordered exceptional pairs of minimal odd cycles, in canonical
-    cycle order."""
-    cycles = minimal_odd_cycles(G)
-    return tuple(
-        ExceptionalPair(a, b)
-        for a, b in itertools.combinations(cycles, 2)
-        if is_exceptional(G, a, b)
-    )
-
-
-def is_normal(G: Graph) -> bool:
-    """Normality of the edge ring, by the odd cycle condition: every two
-    minimal odd cycles share a vertex or are bridged."""
-    return not exceptional_pairs(G)
+from .semigroup import decompose
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +167,6 @@ def double_w_edge_cases(G: Graph):
 
 
 def _report(G: Graph, lemma: str, inputs: dict, closed_form: bool, vec: tuple) -> dict:
-    from .semigroup import decompose
-
     witness = decompose(G, vec)
     oracle = witness is not None
     return {
@@ -241,7 +183,3 @@ def _report(G: Graph, lemma: str, inputs: dict, closed_form: bool, vec: tuple) -
 def _closed_reach(G: Graph, P: ExceptionalPair) -> frozenset:
     """The pair's vertices and every vertex adjacent to one of them."""
     return P.vertex_set | neighbors_of_set(G, P.vertex_set)
-
-
-def _add(a: Iterable[int], b: Iterable[int]) -> tuple:
-    return tuple(p + q for p, q in zip(a, b))

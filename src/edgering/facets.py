@@ -26,6 +26,7 @@ from .graph_core import (
     _sweep,
     bits,
     check_vector,
+    generators,
     odd_everywhere,
     per_graph,
     require_connected,
@@ -288,8 +289,6 @@ def _bit_columns(masks: Sequence[int], dimension: int, width: int) -> list:
 def face_of(G: Graph, H: Hyperplane) -> FaceData:
     """The edges whose generators H vanishes on, with the lattice those
     generators span; its rank is the dimension of the face H supports."""
-    from .semigroup import generators
-
     edges = []
     vectors = []
     for (u, v), g in zip(G.edges, generators(G)):

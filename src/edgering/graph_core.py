@@ -1,5 +1,5 @@
 """Simple graphs with a fixed vertex order, plus the structural predicates
-the cone and semigroup layers are built on.
+the cone and semigroup layers are built on, the edge generators among them.
 
 Every vector anywhere in this package is indexed by a Graph's vertex order,
 so that order is fixed at construction and never changes. The triangular
@@ -12,12 +12,17 @@ vertex i's neighbours, vertex j in bit j. The label-level accessors
 (`neighbors`, `degree`, `has_edge`, `edge`) answer from it, and traversals
 read vertex sets as bitmasks against it; one breadth-first sweep, `_sweep`,
 serves components, connectivity, eccentricities and the odd-cycle test.
+
+The odd cycle condition decides normality: the edge ring is normal iff no
+exceptional pair exists, two vertex-disjoint chordless odd cycles with no
+edge between them, whose vector is in the normalization, not the semigroup.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import operator
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -179,6 +184,21 @@ def indicator(G: Graph, vertices: Iterable[Vertex]) -> tuple:
     return tuple(1 if i in on else 0 for i in range(G.dimension))
 
 
+def unit_vector(G: Graph, v) -> tuple:
+    return indicator(G, (v,))
+
+
+def rho_vector(G: Graph, u, v) -> tuple:
+    """Generator for edge {u, v}: unit(u) + unit(v). NotAnEdgeError if absent."""
+    return indicator(G, G.edge(u, v))
+
+
+@per_graph
+def generators(G: Graph) -> tuple:
+    """One generator per edge, in edge order."""
+    return tuple(rho_vector(G, u, v) for u, v in G.edges)
+
+
 def build_from_edges(edge_list: Iterable, vertices: Iterable[Vertex] = None) -> Graph:
     """Construct a Graph from an edge list; vertices default to first
     appearance order over the edges."""
@@ -194,7 +214,7 @@ def build_from_edges(edge_list: Iterable, vertices: Iterable[Vertex] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# cycles
+# cycles and the odd cycle condition
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -244,6 +264,62 @@ def minimal_odd_cycles(G: Graph) -> tuple[Cycle, ...]:
                     found.append(path + (v,))
     found.sort(key=lambda path: (len(path), path))
     return tuple(Cycle(tuple(G.vertices[i] for i in path)) for path in found)
+
+
+@dataclass(frozen=True)
+class ExceptionalPair:
+    """Unordered pair of vertex-disjoint, bridge-free chordless odd cycles;
+    `first` precedes `second` in the canonical cycle order."""
+
+    first: Cycle
+    second: Cycle
+
+    def cycles(self) -> tuple[Cycle, Cycle]:
+        return (self.first, self.second)
+
+    @property
+    def vertex_set(self) -> frozenset:
+        return self.first.vertex_set | self.second.vertex_set
+
+    def as_json(self) -> list:
+        return [list(map(str, self.first.vertices)), list(map(str, self.second.vertices))]
+
+
+def cycle_vector(G: Graph, cycle: Cycle) -> tuple:
+    """Indicator vector of the cycle's vertex set; degree = cycle length."""
+    return indicator(G, cycle.vertices)
+
+
+def pair_vector(G: Graph, pair: ExceptionalPair) -> tuple:
+    return _add(cycle_vector(G, pair.first), cycle_vector(G, pair.second))
+
+
+def is_exceptional(G: Graph, a: Cycle, b: Cycle) -> bool:
+    """Vertex-disjoint and no bridge edge from one cycle to the other."""
+    va, vb = a.vertex_set, b.vertex_set
+    return va.isdisjoint(vb) and neighbors_of_set(G, va).isdisjoint(vb)
+
+
+@per_graph
+def exceptional_pairs(G: Graph) -> tuple:
+    """All unordered exceptional pairs of minimal odd cycles, in canonical
+    cycle order."""
+    cycles = minimal_odd_cycles(G)
+    return tuple(
+        ExceptionalPair(a, b)
+        for a, b in itertools.combinations(cycles, 2)
+        if is_exceptional(G, a, b)
+    )
+
+
+def is_normal(G: Graph) -> bool:
+    """Normality of the edge ring, by the odd cycle condition: every two
+    minimal odd cycles share a vertex or are bridged."""
+    return not exceptional_pairs(G)
+
+
+def _add(a: Iterable[int], b: Iterable[int]) -> tuple:
+    return tuple(p + q for p, q in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -47,17 +47,19 @@ from .errors import (
     NotDiameterFourCactusError,
     PreconditionViolatedError,
 )
-from .exceptional import (
+from .exceptional import require_diameter4_cactus
+from .graph_core import (
+    Graph,
     exceptional_pairs,
+    generators,
+    indicator,
     is_exceptional,
     is_normal,
-    require_diameter4_cactus,
+    per_graph,
 )
-from .graph_core import Graph, indicator, per_graph
 from .semigroup import (
     MAX_PACKED_DEGREE,
     count_by_degree,
-    generators,
     graded_sorted,
     holes,
     vector_degree,

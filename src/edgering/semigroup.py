@@ -1,25 +1,18 @@
-"""The edge semigroup of a graph: generators, lattice, the point oracle
+"""The edge semigroup of a graph: the generators' lattice, the point oracle
 `member`/`decompose`, and degree-truncated enumeration of the semigroup S,
 its normalization N, and the holes N - S (a set difference, no oracle).
 
 Vectors are tuples of ints indexed by the graph's vertex order. The
 semigroup is generated by one degree-2 vector per edge (the sum of the two
-endpoint units). Inside the enumerations each vector is packed into one int
-with a byte per coordinate, and only results handed out are unpacked. The
-oracle packs the same way, one lane per coordinate, its width the smallest
-multiple of 8 bits that holds max(x): a search step subtracts one packed
-generator, and its memo maps a packed residual (one table per lane width)
-to the edge number its first witness takes first, or -1. One record per
-(G, D) keeps |N_D| and the holes; N_D and S_D are temporaries, S_D built
-once, as degree slabs, for (B) below and the holes. The normalization is enumerated
-two independent ways and cross-checked: (A) a walk over nonnegative vectors
-that keeps every fundamental hyperplane's value in a 16-bit lane of one int,
-so a step is one addition and the cone's inequalities are read off the
-lanes' sign bits. Its lattice test is the leaf's degree parity: the walk
-checks once per graph that the edge lattice's derived congruences are
-exactly sum(x) ≡ 0 (mod 2), and the last coordinate then takes only the
-values that make the degree even, two units at a time, inside the loop of
-the column before it. (B) closes the slabs of S_D under adding the
+endpoint units). The enumerations and the oracle pack each vector into one
+int, a lane per coordinate, and unpack only the results they hand out. One
+record per (G, D) keeps |N_D| and the holes; N_D and S_D are temporaries,
+S_D built once, as degree slabs, for (B) below and the holes. The
+normalization is enumerated two independent ways and cross-checked: (A) a
+walk over nonnegative vectors that keeps every fundamental hyperplane's
+value in a 16-bit lane of one int, so a step is one addition and the cone's
+inequalities are read off the lanes' sign bits, and whose lattice test is
+the leaf's degree parity; (B) closes the slabs of S_D under adding the
 cycle-pair vectors that, with the generators, generate the normalization.
 """
 
@@ -27,19 +20,17 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from . import facets
 from .errors import EdgeRingError, MethodMismatchError
-from .facets import _lanes, _sign_bits
-from .graph_core import Graph, check_vector, indicator, per_graph
+from .facets import _lanes, _sign_bits, cone_contains, supporting_hyperplanes
+from .graph_core import (
+    Graph,
+    check_vector,
+    exceptional_pairs,
+    generators,
+    pair_vector,
+    per_graph,
+)
 from .lattices import IntegerLattice
-
-def unit_vector(G: Graph, v) -> tuple:
-    return indicator(G, (v,))
-
-
-def rho_vector(G: Graph, u, v) -> tuple:
-    """Generator for edge {u, v}: unit(u) + unit(v). NotAnEdgeError if absent."""
-    return indicator(G, G.edge(u, v))
 
 
 def vector_degree(x: Sequence[int]) -> int:
@@ -62,14 +53,8 @@ def count_by_degree(vectors: Iterable[Sequence[int]]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# generators and their lattice
+# the generators' lattice
 # ---------------------------------------------------------------------------
-
-@per_graph
-def generators(G: Graph) -> tuple:
-    """One generator per edge, in edge order."""
-    return tuple(rho_vector(G, u, v) for u, v in G.edges)
-
 
 @per_graph
 def edge_lattice(G: Graph) -> IntegerLattice:
@@ -242,7 +227,7 @@ def hole_report(G: Graph, D: int) -> list[tuple]:
     """(degree, vector, in_cone, in_lattice, member) rows for every hole,
     fields evaluated independently, in graded lexicographic order."""
     return [
-        (vector_degree(x), x, facets.cone_contains(G, x), lattice_member(G, x),
+        (vector_degree(x), x, cone_contains(G, x), lattice_member(G, x),
          member(G, x))
         for x in graded_sorted(holes(G, D))
     ]
@@ -305,7 +290,7 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
     d = G.dimension
     hyps = [
         h.coefficients
-        for h in facets.supporting_hyperplanes(G)
+        for h in supporting_hyperplanes(G)
         if h.kind == "fundamental"
     ]
     _require_parity_lattice(G)
@@ -394,8 +379,6 @@ def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:
 
 def _enumerate_by_closure(G: Graph, D: int, slabs: tuple | None = None) -> frozenset:
     # method B on S_D's slabs, built here unless the caller holds them
-    from .exceptional import exceptional_pairs, pair_vector
-
     slabs = _semigroup_slabs(G, D) if slabs is None else slabs
     # pair vectors by half degree; adding generators commutes with adding
     # pairs, so N's slab j is S's slab j plus each pair on N's slab j - step

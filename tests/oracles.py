@@ -7,8 +7,9 @@ independent sets for fundamental sets at larger scale, multiset enumeration for
 semigroup membership, an unmemoized search on labels for its witnesses, LP
 feasibility and a bipartite-double-cover flow for cone membership, the
 classical closed form for the edge lattice, echelon row reduction for any
-integer lattice, and full scans of the normalization for its truncations and
-for hole-family points. Slow is fine; independent is the point.
+integer lattice, full scans of the normalization for its truncations and
+for hole-family points, and lattice certificates for the classes of holes,
+found without the families' recipe. Slow is fine; independent is the point.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from edgering import build_from_edges
+from edgering import build_from_edges, face_of, supporting_hyperplanes
 from edgering.errors import DimensionMismatchError
 
 
@@ -496,6 +497,45 @@ def oracle_family_points(hf, normalization) -> frozenset:
         x for x in normalization
         if hf.face.lattice.contains([a - b for a, b in zip(x, hf.shift)])
     )
+
+
+def certified_classes(G, hole_set) -> dict:
+    """The certified classes through the holes: a map from (H, r) to the
+    holes of the class r + L_F, keyed by the class's first hole r in sorted
+    order, for every supporting hyperplane H with H(r) in {0, 1}, where L_F
+    is the lattice of H's face.
+
+    Every edge vector e has H(e) >= 0 and L_F lies in H = 0, so a semigroup
+    point y of the class has H(y) = H(r): at height 0 it is a sum of face
+    edges, in L_F; at height 1 one edge e with H(e) = 1 plus face edges, in
+    e + L_F. So the class holds no semigroup point at any degree iff no such
+    witness w (0, or each such e) has w - r in L_F, and only then is it
+    certified. Built from the holes, the hyperplanes, the edge vectors and
+    the face lattices alone: no cycle, shift or admissible set enters.
+    """
+    zero, edges, ordered = (0,) * G.dimension, edge_vectors(G), sorted(hole_set)
+    classes = {}
+    for H in supporting_hyperplanes(G):
+        lattice = face_of(G, H).lattice
+        witnesses = {0: [zero], 1: [e for e in edges if H.value(e) == 1]}
+        reps = []  # (r, certified) per class met so far, in hole order
+        for x in ordered:
+            height = H.value(x)
+            if height not in witnesses:
+                continue
+            r, certified = next(((r, ok) for r, ok in reps
+                                 if lattice.contains(_minus(x, r))), (x, None))
+            if certified is None:
+                certified = not any(lattice.contains(_minus(w, x))
+                                    for w in witnesses[height])
+                reps.append((r, certified))
+            if certified:
+                classes.setdefault((H, r), set()).add(x)
+    return classes
+
+
+def _minus(a, b) -> list:
+    return [p - q for p, q in zip(a, b)]
 
 
 def oracle_lattice_member(G, x) -> bool:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from edgering import acceptance, semigroup
+from edgering import EdgeRingError, acceptance, semigroup
 
 CRITERIA = acceptance.criterion_names()
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,3 +71,26 @@ def test_each_degree_is_enumerated_once_per_graph(monkeypatch):
                              | set(acceptance.NORMAL_FIXTURES)
                              | set(acceptance.NON_NORMAL_FIXTURES))
     assert set(walks.values()) == {1}
+
+
+
+def _raising(error):
+    def criterion(load):
+        raise error
+
+    return (("broken", criterion, "raises"),)
+
+
+def test_run_all_reports_an_input_error(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", _raising(EdgeRingError("refused")))
+    (report,) = acceptance.run_all()
+    assert report["passed"] is False
+    assert report["details"] == {"error": "EdgeRingError: refused"}
+
+
+def test_run_all_re_raises_a_bug(monkeypatch):
+    # only EdgeRingError, OSError and ValueError become failing reports; any
+    # other exception is a bug in the library, not a verdict, and propagates
+    monkeypatch.setattr(acceptance, "CRITERIA", _raising(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError, match="a bug"):
+        acceptance.run_all()

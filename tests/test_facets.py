@@ -18,7 +18,8 @@ from edgering import (
     regular_vertices,
     supporting_hyperplanes,
 )
-from edgering.semigroup import enumerate_semigroup, rho_vector
+from edgering.graph_core import rho_vector
+from edgering.semigroup import enumerate_semigroup
 
 
 # ------------------------------------------------------- regular vertices

@@ -35,6 +35,7 @@ from edgering import (
     member,
     q_vector,
     regular_vertices,
+    rho_vector,
     s2_verdict,
     semigroup,
     verify_decomposition,
@@ -473,6 +474,26 @@ def test_family_points_match_the_full_scan(request, name, D):
         assert hf.points(G, D) == oracles.oracle_family_points(hf, N)
 
 
+@pytest.mark.parametrize("name, classes", [("t1min", 1), ("t2min", 2), ("d13", 13),
+                                           ("cact4a", 26)])
+def test_certified_classes_cover_the_holes_and_are_the_families(request, name, classes):
+    # the recipe-free coverage oracle at D = 10: every hole lies in a class
+    # whose certificate holds, and the classes are the families with shift
+    # degree <= D, one to one. A family is its class when the facets agree
+    # and its shift lies in the class's coset of the face lattice
+    G, D = request.getfixturevalue(name), 10
+    hole_set = holes(G, D)
+    found = oracles.certified_classes(G, hole_set)
+    assert set().union(*found.values()) == hole_set
+    families = [hf for hf in hole_decomposition(G) if sum(hf.shift) <= D]
+    matches = [[(H, r) for H, r in found if H == hf.facet
+                and hf.face.lattice.contains([a - b for a, b in zip(hf.shift, r)])]
+               for hf in families]
+    assert [len(m) for m in matches] == [1] * len(families)
+    assert {m[0] for m in matches} == set(found)
+    assert len(found) == len(families) == classes
+
+
 @pytest.mark.parametrize("name, D", [("t1min", 10), ("t2min", 10), ("d13", 10),
                                      ("cact4a", 8)])
 def test_no_family_holds_a_semigroup_point(request, name, D):
@@ -493,7 +514,7 @@ def test_failed_certificate_is_loud(monkeypatch, tmp_path, capsys, odd):
     # the witness from the union, so reading the points must raise
     G = build_triangular_cactus(triangles=3, pendants=(1, 0, 1, 0, 1, 0))
     hf = next(hf for hf in hole_decomposition(G) if (hf.family.hub is not None) == odd)
-    face_edge = semigroup.rho_vector(G, *hf.face.edges[0])
+    face_edge = rho_vector(G, *hf.face.edges[0])
     if odd:
         witness = next(e for e in semigroup.generators(G) if hf.facet.value(e) == 1)
     else:

@@ -6,7 +6,8 @@ import pytest
 import oracles
 from edgering import DimensionMismatchError, IntegerLattice
 from edgering.facets import face_of, supporting_hyperplanes
-from edgering.semigroup import edge_lattice, generators, rho_vector
+from edgering.graph_core import generators, rho_vector
+from edgering.semigroup import edge_lattice
 
 
 def _box(d, r):
