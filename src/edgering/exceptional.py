@@ -41,7 +41,8 @@ def require_diameter4_cactus(G: Graph):
     """Gate: G must be a triangular cactus of diameter 4. Returns the hub."""
     if not is_triangular_cactus(G) or diameter(G) != 4:
         raise NotDiameterFourCactusError(
-            "closed forms are proved only for diameter-4 triangular cacti"
+            "the closed forms and the hole families are proved only for "
+            "diameter-4 triangular cacti"
         )
     return hub_vertex(G)
 

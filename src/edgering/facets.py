@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from .errors import BipartiteGraphError
 from .graph_core import (
     Graph,
+    _pack,
     _sweep,
     bits,
     check_vector,
@@ -62,9 +63,6 @@ class FundamentalSet:
     def neighborhood(self) -> frozenset:
         return _members(self.labels, self.neighborhood_mask)
 
-    def sort_key(self) -> tuple:
-        return _order(self.mask)
-
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -81,7 +79,6 @@ class Hyperplane:
     dimension: int
     kind: str  # "regular" | "fundamental"
     vertex: object = None
-    sets: tuple = field(default=(), compare=False)
 
     @cached_property
     def coefficients(self) -> tuple:
@@ -110,11 +107,9 @@ LANE_BITS = 16
 
 
 def _lanes(values: Sequence[int], width: int = LANE_BITS) -> int:
-    """Signed values, value i biased in lane i; OverflowError if a biased
+    """Signed values, value i biased in lane i; EdgeRingError if a biased
     value does not fit its lane. `width` is a multiple of 8."""
-    bias, size = 1 << (width - 1), width // 8
-    return int.from_bytes(b"".join([(bias + v).to_bytes(size, "little")
-                                    for v in values]), "little")
+    return _pack([(1 << width - 1) + v for v in values], width)
 
 
 def _sign_bits(lanes: Iterable[int], width: int = LANE_BITS) -> int:
@@ -226,14 +221,12 @@ def _grow(adj: Sequence[int], contact: Sequence[int], T: int, N: int, seen: int,
 def supporting_hyperplanes(G: Graph) -> tuple:
     """One hyperplane per regular vertex followed by one per fundamental
     set. No two coincide: a fundamental set T is independent, so its
-    coefficients are -1 exactly on T, and regular ones have no -1; `sets`
-    is therefore the one-element provenance (T,) of a fundamental
-    hyperplane. regular_vertices, called first, refuses disconnected and
-    bipartite G."""
+    coefficients are -1 exactly on T, and regular ones have no -1.
+    regular_vertices, called first, refuses disconnected and bipartite G."""
     d = G.dimension
     out = [Hyperplane(1 << G.index(v), 0, d, "regular", vertex=v)
            for v in regular_vertices(G)]
-    out += [Hyperplane(F.neighborhood_mask, F.mask, d, "fundamental", sets=(F,))
+    out += [Hyperplane(F.neighborhood_mask, F.mask, d, "fundamental")
             for F in fundamental_sets(G)]
     return tuple(out)
 
@@ -276,11 +269,10 @@ def _bit_columns(masks: Sequence[int], dimension: int, width: int) -> list:
     `dimension`: bit i of masks[h] in lane h. The masks are packed width - 1
     bits at a time, chunk c of mask h as the value of lane h, and each
     column is then one shift and one and of its chunk."""
-    step, signs = width - 1, _lanes([0] * len(masks), width)
-    ones = signs >> step
+    step, ones = width - 1, _pack([1] * len(masks), width)
     columns = []
     for base in range(0, dimension, step):
-        rows = _lanes([m >> base & (1 << step) - 1 for m in masks], width) - signs
+        rows = _pack([m >> base & (1 << step) - 1 for m in masks], width)
         columns += [rows >> j & ones for j in range(min(step, dimension - base))]
     return columns
 

@@ -178,6 +178,18 @@ def check_vector(G: Graph, x: Sequence[int]) -> tuple:
     return x
 
 
+def _pack(x: Sequence[int], width: int = 8) -> int:
+    """x with coordinate i in lane i of `width` bits, a multiple of 8."""
+    try:
+        return int.from_bytes(
+            b"".join([c.to_bytes(width // 8, "little") for c in x]), "little")
+    except OverflowError:
+        raise EdgeRingError(
+            f"cannot pack {tuple(x)}: {width}-bit lanes hold coordinates "
+            f"0..{(1 << width) - 1}"
+        ) from None
+
+
 def indicator(G: Graph, vertices: Iterable[Vertex]) -> tuple:
     """The 0/1 vector of a vertex set in G's vertex order."""
     on = {G.index(v) for v in vertices}
@@ -327,7 +339,8 @@ def _add(a: Iterable[int], b: Iterable[int]) -> tuple:
 # ---------------------------------------------------------------------------
 
 def is_connected(G: Graph) -> bool:
-    return len(components(G)) == 1
+    full = (1 << G.dimension) - 1
+    return _sweep(G.neighbor_masks, 1, full)[0] == full
 
 
 def require_connected(G: Graph) -> None:
@@ -499,16 +512,9 @@ class CactusSpec:
         return Graph(vertices, edges)
 
 
-def build_triangular_cactus(spec: CactusSpec | None = None, *,
-                            triangles: int | None = None,
-                            pendants: Sequence[int] | None = None) -> Graph:
-    """Build the canonical cactus either from a CactusSpec or from keyword
-    parameters. Vertex order: hub, spokes ascending, pendant groups ascending."""
-    if spec is None:
-        if triangles is None or pendants is None:
-            raise EmptySpecError("give a CactusSpec or both triangles= and pendants=")
-        spec = CactusSpec(triangles, tuple(pendants))
-    return spec.build()
+def build_triangular_cactus(*, triangles: int, pendants: Sequence[int]) -> Graph:
+    """CactusSpec(triangles, pendants).build(): hub, spokes, pendant groups."""
+    return CactusSpec(triangles, tuple(pendants)).build()
 
 
 def hub_vertex(G: Graph) -> Vertex:

@@ -117,15 +117,6 @@ def classify(G: Graph) -> CactusType:
     return CactusType(tag, hub, zeta, omega, len(spokes) // 2)
 
 
-def _require_cactus_type(G: Graph) -> CactusType:
-    ct = classify(G)
-    if ct.tag == NOT_DIAM4:
-        raise NotDiameterFourCactusError(
-            "hole-family construction needs a diameter-4 triangular cactus"
-        )
-    return ct
-
-
 @dataclass(frozen=True)
 class ExceptionalFamily:
     """A set of at least two pairwise-exceptional minimal odd cycles, in
@@ -154,7 +145,7 @@ def exceptional_families(G: Graph) -> tuple:
     """Every set of at least two pairwise-exceptional minimal odd cycles, by
     size and then in canonical order, each grown from its last cycle's later
     partners; the two-cycle sets are the exceptional pairs."""
-    hub = _require_cactus_type(G).hub
+    hub = require_diameter4_cactus(G)
     pairs = exceptional_pairs(G)
     later = {}
     for P in pairs:
@@ -180,7 +171,7 @@ def q_vector(G: Graph, family: ExceptionalFamily) -> tuple:
 def admissible_fundamental_sets(G: Graph, family: ExceptionalFamily) -> tuple:
     """Fundamental sets whose neighborhood contains the hub and whose closed
     neighborhood misses every cycle of the family."""
-    hub = 1 << G.index(_require_cactus_type(G).hub)
+    hub = 1 << G.index(require_diameter4_cactus(G))
     cycles = sum(1 << G.index(v) for v in family.vertex_set)
     return tuple(
         F for F in facets_mod.fundamental_sets(G)
@@ -314,15 +305,15 @@ def hole_decomposition(G: Graph, D: int | None = None) -> tuple:
 
 @per_graph
 def _families(G: Graph) -> tuple:
-    hub = _require_cactus_type(G).hub
+    hub = require_diameter4_cactus(G)
     hyps = facets_mod.supporting_hyperplanes(G)
-    by_set = {F: h for h in hyps for F in h.sets}
+    by_set = {h.minus: h for h in hyps if h.kind == "fundamental"}
     # the hub's own facet x_w >= 0 exists exactly when the hub is regular
     hub_facets = [h for h in hyps if h.vertex == hub]
     families = []
     for fam in exceptional_families(G):
         q = q_vector(G, fam)
-        fam_facets = [by_set[F] for F in admissible_fundamental_sets(G, fam)] + hub_facets
+        fam_facets = [by_set[F.mask] for F in admissible_fundamental_sets(G, fam)] + hub_facets
         families += [HoleFamily(q, h, fam, facets_mod.face_of(G, h)) for h in fam_facets]
     return tuple(families)
 
@@ -390,8 +381,8 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
     decomposition: verification must pass on every degree slab of the ladder
     up to D, the slabs must agree, and every family must have dimension d-1;
     a family of lower dimension would make the verdict inconclusive (None),
-    never a confident failure. Non-normal graphs outside the class are
-    inconclusive.
+    never a confident failure, and so would a D below every shift degree,
+    which compares no hole. Non-normal graphs outside the class are inconclusive.
     """
     if D is None:
         D = default_truncation(G)
@@ -437,6 +428,10 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
         **{k: top[k] for k in ("type", "exceptional_pairs", "families",
                                "family_dimensions", "hole_count_by_degree")},
     }
+    if min((f["shift_degree"] for f in top["families"]), default=D + 1) > D:
+        s2 = None
+        evidence["reason"] = (f"no hole family has a shift of degree at most "
+                              f"{D}, so no hole was compared")
     return {"normal": False, "s2": s2, "evidence": evidence}
 
 

@@ -21,9 +21,17 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import EdgeRingError, MethodMismatchError
-from .facets import _lanes, _sign_bits, cone_contains, supporting_hyperplanes
+from .facets import (
+    LANE_BITS,
+    _bit_columns,
+    _lanes,
+    _sign_bits,
+    cone_contains,
+    supporting_hyperplanes,
+)
 from .graph_core import (
     Graph,
+    _pack,
     check_vector,
     exceptional_pairs,
     generators,
@@ -175,18 +183,6 @@ def _decompose(steps: Sequence[tuple], width: int, r: int, memo: dict) -> bool:
 MAX_PACKED_DEGREE = 255
 
 
-def _pack(x: Sequence[int], width: int = 8) -> int:
-    """x with coordinate i in lane i of `width` bits, a multiple of 8."""
-    try:
-        return int.from_bytes(
-            b"".join([c.to_bytes(width // 8, "little") for c in x]), "little")
-    except OverflowError:
-        raise EdgeRingError(
-            f"cannot pack {tuple(x)}: {width}-bit lanes hold coordinates "
-            f"0..{(1 << width) - 1}"
-        ) from None
-
-
 def _unpack(n: int, d: int) -> tuple:
     return tuple(n.to_bytes(d, "little"))
 
@@ -288,11 +284,7 @@ def _require_parity_lattice(G: Graph) -> None:
 def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
     _check_degree(D)
     d = G.dimension
-    hyps = [
-        h.coefficients
-        for h in supporting_hyperplanes(G)
-        if h.kind == "fundamental"
-    ]
+    hyps = [h for h in supporting_hyperplanes(G) if h.kind == "fundamental"]
     _require_parity_lattice(G)
     n = len(hyps)
     # Lane h holds f_h, hyperplane h's value on the walked prefix; lane n + h
@@ -307,17 +299,19 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
     #            goes on up to them.
     # In the last column no hyperplane has a later +1, so `keep` and `reach`
     # together cover every f_h: a leaf is checked against every fundamental
-    # hyperplane.
-    zero = _lanes([0] * 2 * n)
+    # hyperplane. Column k's step is read off the +1 and -1 masks, each
+    # hyperplane's in lanes h and n + h, less 1 in every f_h + L lane
+    plus = _bit_columns([h.plus for h in hyps] * 2, d, LANE_BITS)
+    minus = _bit_columns([h.minus for h in hyps] * 2, d, LANE_BITS)
+    upper = _pack([0] * n + [1] * n, LANE_BITS)
     table = []
     for k in range(d):
-        col = [c[k] for c in hyps]
-        later = [any(a > 0 for a in c[k + 1:]) for c in hyps]
-        step = _lanes(col + [c - 1 for c in col]) - zero
-        keep = _sign_bits([h for h in range(n) if col[h] <= 0 and not later[h]]
-                          + [n + h for h in range(n) if later[h]])
-        reach = _sign_bits([h for h in range(n) if col[h] > 0 and not later[h]])
-        table.append((step, keep, reach, 1 << 8 * k))
+        # h.plus >> k: 0 with no +1 from column k on, 1 with its last +1 in k
+        top = [h.plus >> k for h in hyps]
+        keep = _sign_bits([h for h in range(n) if not top[h]]
+                          + [n + h for h in range(n) if top[h] > 1])
+        reach = _sign_bits([h for h in range(n) if top[h] == 1])
+        table.append((plus[k] - minus[k] - upper, keep, reach, 1 << 8 * k))
     # the penultimate column closes the last one in its own loop, so the
     # last column also carries its two-unit step
     step, keep, reach, unit = table.pop()

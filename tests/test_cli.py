@@ -109,6 +109,17 @@ def test_analyze_t1min(t1min_file, tmp_path, capsys):
     assert [f["dimension"] for f in report["decomposition"]["families"]] == [8]
 
 
+def test_analyze_below_every_shift_is_inconclusive(t1min_file, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(t1min_file), "--degree", "4",
+                 "--json", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    assert "holes to degree 4: none" in out
+    assert out.splitlines()[-1] == "verdict: normal=false s2=inconclusive"
+    verdict = json.loads(report_path.read_text())["s2"]
+    assert verdict["s2"] is None and "no hole was compared" in verdict["evidence"]["reason"]
+
+
 def test_analyze_never_calls_the_member_oracle(t1min_file, capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("analyze ran the member oracle")

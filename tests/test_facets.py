@@ -1,4 +1,6 @@
+import functools
 import gc
+import operator
 import random
 import weakref
 
@@ -18,7 +20,7 @@ from edgering import (
     regular_vertices,
     supporting_hyperplanes,
 )
-from edgering.graph_core import rho_vector
+from edgering.graph_core import bits, rho_vector
 from edgering.semigroup import enumerate_semigroup
 
 
@@ -68,13 +70,15 @@ def test_fundamental_sets_match_subset_oracle(small_fixture_graphs):
 def test_fundamental_sets_sorted_and_consistent(t2min):
     fsets = fundamental_sets(t2min)
     assert len(fsets) == 40
-    keys = [F.sort_key() for F in fsets]
+    keys = [(F.mask.bit_count(), list(bits(F.mask))) for F in fsets]
     assert keys == sorted(keys)
+    adj = t2min.neighbor_masks
     for F in fsets:
-        assert F.neighborhood == frozenset().union(
-            *(t2min.neighbors(v) for v in F.vertices)
-        )
-        assert not F.vertices & F.neighborhood
+        assert F.neighborhood_mask == functools.reduce(
+            operator.or_, (adj[i] for i in bits(F.mask)))
+        assert not F.mask & F.neighborhood_mask
+        assert F.vertices == {t2min.vertices[i] for i in bits(F.mask)}
+        assert F.neighborhood == {t2min.vertices[i] for i in bits(F.neighborhood_mask)}
 
 
 def test_fundamental_sets_match_subset_oracle_beyond_fixtures(d13):
@@ -124,15 +128,16 @@ def test_facets_are_freed_with_the_graph(t1min):
         assert cone_contains(G, (2,) + (0,) * (G.dimension - 1)) is False
         assert cone_contains(G, rho_vector(G, f"w{tag}", f"x1{tag}"))
         hyps = supporting_hyperplanes(G)
+        fsets = fundamental_sets(G)
         coefficients = [h.coefficients for h in hyps]
-        sets = [(F.vertices, F.neighborhood) for h in hyps for F in h.sets]
+        sets = [(F.vertices, F.neighborhood) for F in fsets]
         ref = weakref.ref(G)
         del G
         assert ref() is None
     finally:
         gc.enable()
     assert [h.coefficients for h in hyps] == coefficients
-    assert [(F.vertices, F.neighborhood) for h in hyps for F in h.sets] == sets
+    assert [(F.vertices, F.neighborhood) for F in fsets] == sets
     assert all(str(v).endswith(tag) for T, N in sets for v in T | N)
 
 
@@ -154,22 +159,21 @@ def test_supporting_hyperplanes_structure(t1min):
         assert h.coefficients == tuple(
             1 if j == i else 0 for j in range(t1min.dimension)
         )
-    for h in funds:
-        assert h.sets  # provenance retained
-        F = h.sets[0]
+    assert len(funds) == len(fundamental_sets(t1min))
+    for h, F in zip(funds, fundamental_sets(t1min)):
+        assert (h.minus, h.plus) == (F.mask, F.neighborhood_mask)
         for v in F.vertices:
             assert h.coefficients[t1min.index(v)] == -1
         for v in F.neighborhood:
             assert h.coefficients[t1min.index(v)] == 1
 
 
-def test_hyperplane_dedup_keeps_all_provenance(small_fixture_graphs):
+def test_fundamental_hyperplanes_are_the_fundamental_sets(small_fixture_graphs):
     for name, G in small_fixture_graphs.items():
         hyps = supporting_hyperplanes(G)
         assert len({h.coefficients for h in hyps}) == len(hyps), name
-        total_sets = sum(len(h.sets) for h in hyps if h.kind == "fundamental")
-        assert total_sets == len(fundamental_sets(G)), name
-        assert all(len(h.sets) == 1 for h in hyps if h.kind == "fundamental"), name
+        funds = [(h.minus, h.plus) for h in hyps if h.kind == "fundamental"]
+        assert funds == [(F.mask, F.neighborhood_mask) for F in fundamental_sets(G)], name
 
 
 # ------------------------------------------------------- cone membership
@@ -294,8 +298,7 @@ def test_bowtie_shared_vertex_face(bowtie):
     (h,) = [
         h
         for h in supporting_hyperplanes(bowtie)
-        if h.kind == "fundamental"
-        and any(F.vertices == frozenset({"v1"}) for F in h.sets)
+        if h.kind == "fundamental" and h.minus == 1 << bowtie.index("v1")
     ]
     face = face_of(bowtie, h)
     assert set(face.edges) == {

@@ -12,6 +12,7 @@ import oracles
 from edgering import (
     CactusSpec,
     DecompositionMismatchError,
+    DisconnectedError,
     EdgeRingError,
     EmptySetError,
     ExceptionalFamily,
@@ -42,6 +43,7 @@ from edgering import (
 )
 from edgering.cli import main
 from edgering.fixtures import load
+from edgering.graph_core import bits
 from edgering.io import format_graph_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -132,10 +134,15 @@ def test_cycle_sets_fit_in_the_hub_triangles(all_fixture_graphs, d13):
 
 
 def test_gate(friend3):
-    with pytest.raises(NotDiameterFourCactusError):
-        exceptional_families(friend3)
-    with pytest.raises(NotDiameterFourCactusError):
-        hole_decomposition(friend3)
+    # the lemmas' diameter-4 gate: it asks for a connected graph first, and
+    # only then for the cactus class
+    two_triangles = build_from_edges([("a", "b"), ("b", "c"), ("c", "a"),
+                                      ("d", "e"), ("e", "f"), ("f", "d")])
+    for build_families in (exceptional_families, hole_decomposition):
+        with pytest.raises(DisconnectedError):
+            build_families(two_triangles)
+        with pytest.raises(NotDiameterFourCactusError):
+            build_families(friend3)
 
 
 # ------------------------------------------------------------ q vectors
@@ -217,12 +224,8 @@ def test_hole_decomposition_t2min(t2min):
     fams = hole_decomposition(t2min)
     assert len(fams) == 2
     assert all(hf.source == "fundamental" for hf in fams)
-    names = sorted(
-        sorted(F.vertices)[0]
-        for hf in fams
-        for F in hf.facet.sets
-        if len(F.vertices) == 1 and not (F.vertices - {"x5", "x6"})
-    )
+    # each facet's set T, read from its -1 mask, is one zeta spoke
+    names = sorted(t2min.vertices[i] for hf in fams for i in bits(hf.facet.minus))
     assert names == ["x5", "x6"]
     assert all(hf.dimension == 10 for hf in fams)
 
@@ -356,6 +359,20 @@ def test_s2_verdict_normal_route_with_holes_is_inconclusive(t1min, monkeypatch,
     graph.write_text(format_graph_text(t1min))
     assert main(["analyze", str(graph), "--degree", "8"]) == 0
     assert "verdict: normal=true s2=inconclusive" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("D", [0, 2, 4, 5])
+def test_s2_verdict_below_every_shift_is_inconclusive(t1min, D):
+    # t1min's one family has shift degree 6: below it there is no hole and
+    # no family point, so a passing check compared nothing
+    v = s2_verdict(t1min, D)
+    assert v["normal"] is False and v["s2"] is None
+    ev = v["evidence"]
+    assert all(ev["verified_at"].values()) and ev["hole_count_by_degree"] == {}
+    assert ev["reason"] == (f"no hole family has a shift of degree at most {D}, "
+                            "so no hole was compared")
+    at_shift = s2_verdict(t1min, 6)
+    assert at_shift["s2"] is True and "reason" not in at_shift["evidence"]
 
 
 def test_s2_verdict_unsupported_route():

@@ -31,9 +31,9 @@ from edgering import (
 from edgering import semigroup
 from edgering.facets import LANE_BITS, _lanes, _sign_bits
 from edgering.fixtures import build, load
+from edgering.graph_core import _pack
 from edgering.semigroup import (
     _enumerate_by_inequalities,
-    _pack,
     _unpack,
     graded_sorted,
 )
