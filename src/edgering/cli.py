@@ -30,7 +30,7 @@ from .graph_core import (
     is_normal,
     is_triangular_cactus,
 )
-from .hole_families import classify, degree_cap, s2_verdict, verify_decomposition
+from .hole_families import classify, degree_cap, s2_verdict, uncompared, verify_decomposition
 from .io import (
     format_graph_json,
     format_graph_text,
@@ -157,10 +157,9 @@ def cmd_analyze(args) -> int:
     if ct.tag in ("Type1", "Type2"):
         dec = verify_decomposition(G, degree)
         report["decomposition"] = dec
-        print(
-            f"decomposition: {len(dec['families'])} hole families, "
-            f"dimensions {dec['family_dimensions']}, verified at degree {degree}"
-        )
+        checked = uncompared(dec) or f"verified at degree {degree}"
+        print(f"decomposition: {len(dec['families'])} hole families, "
+              f"dimensions {dec['family_dimensions']}, {checked}")
 
     verdict = s2_verdict(G, degree)
     report["s2"] = verdict

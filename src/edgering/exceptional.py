@@ -87,16 +87,11 @@ def lemma_edge_augment(G: Graph, P: ExceptionalPair, edge) -> bool:
     if not G.has_edge(u, v):
         raise NotAnEdgeError(f"{{{u!r}, {v!r}}} is not an edge")
     reach = _closed_reach(G, P)
-    if u == w:
-        return v in reach
-    if v == w:
-        return u in reach
-    return False
+    return (u == w and v in reach) or (v == w and u in reach)
 
 
 def lemma_edge_augment_vector(G: Graph, P: ExceptionalPair, edge) -> tuple:
-    u, v = edge
-    return _add(pair_vector(G, P), _add(indicator(G, (u,)), indicator(G, (v,))))
+    return _add(pair_vector(G, P), indicator(G, edge))
 
 
 def lemma_double_w_edge(G: Graph, P: ExceptionalPair, u, v) -> bool:

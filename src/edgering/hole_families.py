@@ -428,11 +428,16 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
         **{k: top[k] for k in ("type", "exceptional_pairs", "families",
                                "family_dimensions", "hole_count_by_degree")},
     }
-    if min((f["shift_degree"] for f in top["families"]), default=D + 1) > D:
-        s2 = None
-        evidence["reason"] = (f"no hole family has a shift of degree at most "
-                              f"{D}, so no hole was compared")
+    if reason := uncompared(top):
+        s2, evidence["reason"] = None, reason
     return {"normal": False, "s2": s2, "evidence": evidence}
+
+
+def uncompared(report: dict) -> str | None:
+    """Why a `verify_decomposition` report compared no hole, or None."""
+    D = report["degree"]
+    if min((f["shift_degree"] for f in report["families"]), default=D + 1) > D:
+        return f"no hole family has a shift of degree at most {D}, so no hole was compared"
 
 
 def _ladder_consistent(G: Graph, ladder) -> bool:

@@ -1,23 +1,24 @@
 """The edge semigroup of a graph: the generators' lattice, the point oracle
 `member`/`decompose`, and degree-truncated enumeration of the semigroup S,
-its normalization N, and the holes N - S (a set difference, no oracle).
+its normalization N, and the holes N - S (no oracle).
 
 Vectors are tuples of ints indexed by the graph's vertex order. The
 semigroup is generated by one degree-2 vector per edge (the sum of the two
 endpoint units). The enumerations and the oracle pack each vector into one
 int, a lane per coordinate, and unpack only the results they hand out. One
 record per (G, D) keeps |N_D| and the holes; N_D and S_D are temporaries,
-S_D built once, as degree slabs, for (B) below and the holes. The
-normalization is enumerated two independent ways and cross-checked: (A) a
-walk over nonnegative vectors that keeps every fundamental hyperplane's
-value in a 16-bit lane of one int, so a step is one addition and the cone's
+S_D built once, as degree slabs grown by each point's least vertex. N is
+enumerated two independent ways and cross-checked: (A) a walk over
+nonnegative vectors that keeps every fundamental hyperplane's value in a
+16-bit lane of one int, so a step is one addition and the cone's
 inequalities are read off the lanes' sign bits, and whose lattice test is
-the leaf's degree parity; (B) closes the slabs of S_D under adding the
-cycle-pair vectors that, with the generators, generate the normalization.
+the leaf's degree parity; (B) closes S_D's slabs under adding the cycle-pair
+vectors (Ohsugi-Hibi), and the points it adds are the holes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Sequence
 
 from .errors import EdgeRingError, MethodMismatchError
@@ -53,11 +54,8 @@ def graded_sorted(vectors: Iterable[Sequence[int]]) -> list[tuple]:
 def count_by_degree(vectors: Iterable[Sequence[int]]) -> dict:
     """Number of vectors per degree, keyed by the degree as a string, in
     ascending degree order (the shape the JSON reports use)."""
-    counts: dict[str, int] = {}
-    for x in vectors:
-        key = str(vector_degree(x))
-        counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items(), key=lambda kv: int(kv[0])))
+    counts = Counter(map(vector_degree, vectors))
+    return {str(k): counts[k] for k in sorted(counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +230,24 @@ def hole_report(G: Graph, D: int) -> list[tuple]:
 @per_graph
 def _enumeration(G: Graph, D: int) -> tuple:
     # the one cached result of enumerating to degree D: (|N_D|, the holes
-    # N_D - S_D unpacked). N_D and the slabs of S_D are freed on return
-    normalization, slabs = _normalization(G, D)
-    return len(normalization), _unpack_all(normalization.difference(*slabs), G.dimension)
+    # unpacked). N_D and the slabs of S_D are freed on return
+    normalization, new = _normalization(G, D)
+    return len(normalization), _unpack_all(new, G.dimension)
 
 
 def _normalization(G: Graph, D: int) -> tuple:
-    # N_D packed, and S_D's slabs, built once for method B and the caller:
-    # both methods run and must agree
+    # N_D packed by method A, and the holes packed: the points method B adds
+    # to S_D's slabs, lazily. Both methods run and must agree: B's slabs hold
+    # one degree each, so A agrees when it has their total size and each one
     slabs = _semigroup_slabs(G, D)
     by_filter = _enumerate_by_inequalities(G, D)
     by_closure = _enumerate_by_closure(G, D, slabs)
-    if by_filter != by_closure:
-        d = G.dimension
-        raise MethodMismatchError(_unpack_all(by_filter - by_closure, d),
-                                  _unpack_all(by_closure - by_filter, d))
-    # keep the closure's set: its semigroup points are the slabs' own int
-    # objects, where A's are copies
-    return by_closure, slabs
+    if (len(by_filter) != sum(map(len, by_closure))
+            or not all(map(by_filter.issuperset, by_closure))):
+        d, union = G.dimension, frozenset().union(*by_closure)
+        raise MethodMismatchError(_unpack_all(by_filter - union, d),
+                                  _unpack_all(union - by_filter, d))
+    return by_filter, (n for c, s in zip(by_closure, slabs) if c is not s for n in c - s)
 
 
 def _semigroup_slabs(G: Graph, D: int) -> tuple:
@@ -257,10 +255,17 @@ def _semigroup_slabs(G: Graph, D: int) -> tuple:
     _check_degree(D)
     if D < 0:
         return ()
-    gens = [_pack(g) for g in generators(G)]
-    slabs = [frozenset((0,))]
+    # slab j + 1's points of least positive coordinate i are the edges (i, k),
+    # k > i, added to slab j's points with no positive coordinate below i
+    # (drop the edge that covers i); tiers[i] holds slab j's points of least i
+    gens = [[g for _, g, _ in step] for step in _packed_generators(G, 8)[1]]
+    slabs, tiers, pool = [frozenset((0,))], [()] * G.dimension, [0]
     for _ in range(D // 2):
-        slabs.append(frozenset({s + g for s in slabs[-1] for g in gens}))
+        for i in reversed(range(G.dimension)):
+            pool += tiers[i]
+            tiers[i] = {s + g for g in gens[i] for s in pool}
+        slabs.append(frozenset().union(*tiers))
+        pool = []
     return tuple(slabs)
 
 
@@ -371,18 +376,16 @@ def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:
             return
 
 
-def _enumerate_by_closure(G: Graph, D: int, slabs: tuple | None = None) -> frozenset:
-    # method B on S_D's slabs, built here unless the caller holds them
+def _enumerate_by_closure(G: Graph, D: int, slabs: tuple | None = None) -> tuple:
+    # method B on S_D's slabs, built here unless the caller holds them: N_D by
+    # degree, S_D's own slab where no pair reaches. Adding generators commutes
+    # with adding pairs, so N's slab j is S's slab j plus each pair on N's
+    # slab j - step, the pair's half degree
     slabs = _semigroup_slabs(G, D) if slabs is None else slabs
-    # pair vectors by half degree; adding generators commutes with adding
-    # pairs, so N's slab j is S's slab j plus each pair on N's slab j - step
-    pairs: dict[int, list[int]] = {}
-    for P in exceptional_pairs(G):
-        p = pair_vector(G, P)
-        pairs.setdefault(vector_degree(p) // 2, []).append(_pack(p))
+    pairs = [(sum(p) // 2, _pack(p))
+             for p in (pair_vector(G, P) for P in exceptional_pairs(G))]
     closed: list = []
     for j, slab in enumerate(slabs):
-        extra = {n + p for step, ps in pairs.items() if step <= j
-                 for n in closed[j - step] for p in ps}
+        extra = {n + p for step, p in pairs if step <= j for n in closed[j - step]}
         closed.append(slab | extra if extra else slab)
-    return frozenset().union(*closed)
+    return tuple(closed)

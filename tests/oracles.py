@@ -3,9 +3,10 @@
 Everything here recomputes a quantity by a different route than the
 library: Floyd-Warshall distances, delete-and-count cutpoints, subset
 enumeration for cycles, blocks and fundamental sets, backtracking over
-independent sets for fundamental sets at larger scale, multiset enumeration for
-semigroup membership, an unmemoized search on labels for its witnesses, LP
-feasibility and a bipartite-double-cover flow for cone membership, the
+independent sets for fundamental sets at larger scale, multiset enumeration
+for semigroup membership and for the truncated semigroup, an unmemoized
+search on labels for its witnesses, LP feasibility and a
+bipartite-double-cover flow for cone membership, the
 classical closed form for the edge lattice, echelon row reduction for any
 integer lattice, full scans of the normalization for its truncations and
 for hole-family points, and lattice certificates for the classes of holes,
@@ -354,6 +355,17 @@ def edge_vectors(G) -> list:
         x[G.index(v)] += 1
         vecs.append(tuple(x))
     return vecs
+
+
+def oracle_semigroup(G, D) -> frozenset:
+    """Every sum of at most D/2 edge vectors, one combination with
+    replacement at a time."""
+    vecs = edge_vectors(G)
+    return frozenset(
+        tuple(map(sum, zip(*combo))) if combo else (0,) * G.dimension
+        for k in range(D // 2 + 1)
+        for combo in itertools.combinations_with_replacement(vecs, k)
+    )
 
 
 def oracle_member(G, x) -> bool:

@@ -120,6 +120,18 @@ def test_analyze_below_every_shift_is_inconclusive(t1min_file, tmp_path, capsys)
     assert verdict["s2"] is None and "no hole was compared" in verdict["evidence"]["reason"]
 
 
+def test_analyze_below_every_shift_says_no_hole_was_compared(t1min_file, tmp_path, capsys):
+    # the decomposition line gives the verdict's reason, not "verified"
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", str(t1min_file), "--degree", "4",
+                 "--json", str(report_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    reason = json.loads(report_path.read_text())["s2"]["evidence"]["reason"]
+    assert reason == "no hole family has a shift of degree at most 4, so no hole was compared"
+    assert f"decomposition: 1 hole families, dimensions [8], {reason}" in out
+    assert not [line for line in out if "verified" in line]
+
+
 def test_analyze_never_calls_the_member_oracle(t1min_file, capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("analyze ran the member oracle")

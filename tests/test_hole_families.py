@@ -39,6 +39,7 @@ from edgering import (
     rho_vector,
     s2_verdict,
     semigroup,
+    supporting_hyperplanes,
     verify_decomposition,
 )
 from edgering.cli import main
@@ -559,6 +560,21 @@ def test_certificate_refuses_a_shift_at_another_height(monkeypatch):
     monkeypatch.setattr(hole_families, "_families", lambda G: (bad,))
     with pytest.raises(PreconditionViolatedError, match="height 0 or 1"):
         bad.points(G, 8)
+
+
+def test_cact4b_has_a_degree_14_hole_no_family_holds(cact4b):
+    # a known gap, pinned by point queries alone: x = 2 e_w plus the four
+    # pendant triangles is a hole at height 2 on the hub facet, where no
+    # family sits, so verify_decomposition(cact4b, 14) fails on it
+    x = (2, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1)
+    assert cone_contains(cact4b, x) and lattice_member(cact4b, x)
+    assert not member(cact4b, x)
+    (hub_facet,) = [h for h in supporting_hyperplanes(cact4b) if h.vertex == "w"]
+    assert hub_facet.value(x) == 2
+    families = hole_decomposition(cact4b)
+    assert len(families) == 113
+    assert not [hf for hf in families
+                if hf.face.lattice.contains([a - b for a, b in zip(x, hf.shift)])]
 
 
 def test_family_refuses_a_graph_it_was_not_built_for(t1min, t2min, bowtie):

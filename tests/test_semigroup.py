@@ -218,6 +218,28 @@ def test_enumerate_semigroup_matches_combination_oracle(triangle, bowtie):
         assert enumerate_semigroup(G, D) == frozenset(want)
 
 
+def _reversed(G):
+    return Graph(G.vertices[::-1], G.edges)
+
+
+def _hub_last(G):
+    return Graph(G.vertices[1:] + G.vertices[:1], G.edges)
+
+
+# S_D grows by each point's least positive coordinate, so its slabs depend
+# on the vertex order: hub first and last, a reversed cactus, and a vertex
+# (c) before the last one with no later neighbour
+@pytest.mark.parametrize("G", [
+    K5, PETERSEN, W7, _hub_last(W7), build("t1min"), _reversed(build("t2min")),
+    build_from_edges([("a", "b"), ("b", "c"), ("a", "c"), ("a", "d"),
+                      ("d", "e"), ("e", "f"), ("d", "f")]),
+], ids=["K5", "Petersen", "W7-hub-first", "W7-hub-last", "t1min",
+        "t2min-reversed", "no-later-neighbour"])
+def test_enumerate_semigroup_in_any_vertex_order(G):
+    for D in range(9):
+        assert enumerate_semigroup(G, D) == oracles.oracle_semigroup(G, D)
+
+
 def test_enumerate_normalization_reconstructed_from_oracles(triangle, bowtie):
     """cone ∩ lattice ∩ degree bound, rebuilt entirely from the LP oracle
     and the closed-form lattice oracle over the full bounded box."""
@@ -415,9 +437,16 @@ def test_method_mismatch_reports_tuple_vectors(monkeypatch, dropped_by):
     # one method loses the degree-6 hole; the error names it as a vector
     q = pair_vector(load("t1min"), exceptional_pairs(load("t1min"))[0])
     method = getattr(semigroup, dropped_by)
+
+    def drop(found):
+        # method A returns one set, method B one set per degree
+        if isinstance(found, frozenset):
+            return found - {_pack(q)}
+        return tuple(slab - {_pack(q)} for slab in found)
+
     # method B may be handed S_D's slabs: pass them through
     monkeypatch.setattr(semigroup, dropped_by,
-                        lambda G, D, *slabs: method(G, D, *slabs) - {_pack(q)})
+                        lambda G, D, *slabs: drop(method(G, D, *slabs)))
     with pytest.raises(MethodMismatchError) as err:
         enumerate_normalization(build("t1min"), 8)
     only_a, only_b = frozenset({q}), frozenset()
@@ -432,6 +461,21 @@ def test_method_mismatch_reports_tuple_vectors(monkeypatch, dropped_by):
     assert details == {"t1min": {"agree": False,
                                  "only_inequality_method": len(only_a),
                                  "only_closure_method": len(only_b)}}
+
+
+def test_method_mismatch_when_method_a_swaps_a_point_of_the_same_degree(monkeypatch):
+    # the sizes still agree, so only the per-degree containment sees the swap
+    G = build("t1min")
+    q = pair_vector(G, exceptional_pairs(G)[0])
+    stray = (6,) + (0,) * (G.dimension - 1)
+    assert sum(stray) == sum(q) and not cone_contains(G, stray)
+    method = semigroup._enumerate_by_inequalities
+    monkeypatch.setattr(semigroup, "_enumerate_by_inequalities",
+                        lambda G, D: method(G, D) - {_pack(q)} | {_pack(stray)})
+    with pytest.raises(MethodMismatchError) as err:
+        enumerate_normalization(G, 8)
+    assert err.value.only_first == frozenset({stray})
+    assert err.value.only_second == frozenset({q})
 
 
 def test_method_mismatch_error_payload():
