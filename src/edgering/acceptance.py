@@ -51,12 +51,14 @@ def criterion_figure1(load) -> tuple:
     single-vertex fundamental set."""
     G = load("bowtie")
     regs = set(regular_vertices(G))
-    singles = [F.vertices for F in fundamental_sets(G) if F.mask.bit_count() == 1]
+    # a one-vertex set T = {v} is its hyperplane's -1 mask, bit v alone
+    singles = [G.vertices[h.minus.bit_length() - 1]
+               for h in fundamental_sets(G) if h.minus.bit_count() == 1]
     ok_regular = regs == {"v2", "v3", "v4", "v5"}
-    ok_single = singles == [frozenset({"v1"})]
+    ok_single = singles == ["v1"]
     return ok_regular and ok_single, {
         "regular_vertices": sorted(regs),
-        "single_vertex_fundamental_sets": [sorted(s) for s in singles],
+        "single_vertex_fundamental_sets": [[v] for v in singles],
     }
 
 
@@ -164,7 +166,7 @@ def criterion_doubling(G, name) -> tuple:
 def criterion_facet_rank(G, name) -> tuple:
     """Every supporting hyperplane of every fixture meets the cone in a
     face of dimension exactly d-1."""
-    dims = [face_of(G, H).dimension for H in supporting_hyperplanes(G)]
+    dims = [face_of(G, H).rank for H in supporting_hyperplanes(G)]
     off_rank = [x for x in dims if x != G.dimension - 1]
     return not off_rank, {
         "hyperplanes": len(dims),

@@ -9,14 +9,15 @@ reduce to integer evaluations against this list.
 
 The list is kept on vertex bitmasks (vertex i in bit i) from the walk that
 finds the fundamental sets to the lane columns of `cone_contains`: a
-fundamental set is the pair of masks (T, N(T)), a hyperplane the masks of
-its +1 and -1 coefficients. Labels and coefficient tuples are built from
-them on first use.
+hyperplane is the masks of its +1 and -1 coefficients, and a fundamental set
+T is its hyperplane, with N(T) as +1 mask and T as -1 mask. Coefficient
+tuples are built from the masks on first use. A face is the lattice its
+edge generators span, whose rank is the face's dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -35,43 +36,15 @@ from .graph_core import (
 from .lattices import IntegerLattice
 
 
-def _members(labels: tuple, mask: int) -> frozenset:
-    # frozenset of a set, not of a generator: copying a set sizes the
-    # table to fit, where growing one from a generator can leave it half
-    # empty
-    return frozenset({labels[i] for i in bits(mask)})
-
-
-@dataclass(frozen=True)
-class FundamentalSet:
-    """An independent set whose contact graph with its neighborhood is
-    connected and whose complement (beyond the neighborhood) has an odd
-    cycle in every component.
-
-    Stored as the masks of T and N(T) over `labels`, the graph's vertex
-    tuple; `vertices` and `neighborhood` are their label sets."""
-
-    mask: int
-    neighborhood_mask: int
-    labels: tuple = field(compare=False, repr=False)
-
-    @cached_property
-    def vertices(self) -> frozenset:
-        return _members(self.labels, self.mask)
-
-    @cached_property
-    def neighborhood(self) -> frozenset:
-        return _members(self.labels, self.neighborhood_mask)
-
-
 @dataclass(frozen=True)
 class Hyperplane:
     """A supporting hyperplane, stored as the masks of its +1 and -1
     coefficients over `dimension` coordinates.
 
     The cone lies in the half-space functional(x) >= 0. Regular-vertex
-    hyperplanes have the indicator of the vertex as coefficients; fundamental
-    hyperplanes carry +1 on the neighborhood and -1 on the set itself.
+    hyperplanes have the indicator of the vertex as coefficients; the
+    hyperplane of a fundamental set T is T itself, with `minus` the mask of
+    T and `plus` the mask of N(T).
     """
 
     plus: int
@@ -119,19 +92,6 @@ def _sign_bits(lanes: Iterable[int], width: int = LANE_BITS) -> int:
     return sum(bias << width * i for i in lanes)
 
 
-@dataclass(frozen=True)
-class FaceData:
-    """The edges whose generators lie on a hyperplane, and the lattice those
-    generators span; its rank is the dimension of the face."""
-
-    edges: tuple
-    lattice: IntegerLattice
-
-    @property
-    def dimension(self) -> int:
-        return self.lattice.rank
-
-
 @per_graph
 def regular_vertices(G: Graph) -> tuple:
     """All vertices whose deletion leaves only components containing an odd
@@ -146,7 +106,10 @@ def regular_vertices(G: Graph) -> tuple:
 
 @per_graph
 def fundamental_sets(G: Graph) -> tuple:
-    """Every fundamental set, sorted by (size, vertex indices)."""
+    """The hyperplane of every fundamental set T (an independent set whose
+    contact graph with N(T) is connected and whose complement beyond N(T)
+    has an odd cycle in every component), sorted by (size, vertex indices)
+    of T: +1 on N(T), -1 on T."""
     require_connected(G)
     adj, full = G.neighbor_masks, (1 << G.dimension) - 1
     # contact[i]: the vertices at distance exactly 2 from i. Two vertices
@@ -165,7 +128,7 @@ def fundamental_sets(G: Graph) -> tuple:
         _grow(adj, contact, 0, 0, (2 << v) - 1, ((full, odd),), not odd, 1 << v,
               found)
     found.sort(key=lambda TN: _order(TN[0]))
-    return tuple(FundamentalSet(T, N, G.vertices) for T, N in found)
+    return tuple(Hyperplane(N, T, G.dimension, "fundamental") for T, N in found)
 
 
 def _order(mask: int) -> tuple:
@@ -219,16 +182,15 @@ def _grow(adj: Sequence[int], contact: Sequence[int], T: int, N: int, seen: int,
 
 @per_graph
 def supporting_hyperplanes(G: Graph) -> tuple:
-    """One hyperplane per regular vertex followed by one per fundamental
-    set. No two coincide: a fundamental set T is independent, so its
-    coefficients are -1 exactly on T, and regular ones have no -1.
-    regular_vertices, called first, refuses disconnected and bipartite G."""
+    """One hyperplane per regular vertex followed by the fundamental_sets
+    hyperplanes themselves. No two coincide: a fundamental set T is
+    independent, so its coefficients are -1 exactly on T, and regular ones
+    have no -1. regular_vertices, called first, refuses disconnected and
+    bipartite G."""
     d = G.dimension
-    out = [Hyperplane(1 << G.index(v), 0, d, "regular", vertex=v)
-           for v in regular_vertices(G)]
-    out += [Hyperplane(F.neighborhood_mask, F.mask, d, "fundamental")
-            for F in fundamental_sets(G)]
-    return tuple(out)
+    regular = tuple(Hyperplane(1 << G.index(v), 0, d, "regular", vertex=v)
+                    for v in regular_vertices(G))
+    return regular + fundamental_sets(G)
 
 
 def cone_contains(G: Graph, x: Sequence[int]) -> bool:
@@ -278,13 +240,7 @@ def _bit_columns(masks: Sequence[int], dimension: int, width: int) -> list:
 
 
 @per_graph
-def face_of(G: Graph, H: Hyperplane) -> FaceData:
-    """The edges whose generators H vanishes on, with the lattice those
-    generators span; its rank is the dimension of the face H supports."""
-    edges = []
-    vectors = []
-    for (u, v), g in zip(G.edges, generators(G)):
-        if H.value(g) == 0:
-            edges.append((u, v))
-            vectors.append(g)
-    return FaceData(tuple(edges), IntegerLattice(G.dimension, vectors))
+def face_of(G: Graph, H: Hyperplane) -> IntegerLattice:
+    """The lattice spanned by the edge generators H vanishes on; its rank
+    is the dimension of the face H supports."""
+    return IntegerLattice(G.dimension, [g for g in generators(G) if H.value(g) == 0])

@@ -462,6 +462,15 @@ def neighbors_of_set(G: Graph, T: Iterable[Vertex]) -> frozenset:
 # triangular cactus builder
 # ---------------------------------------------------------------------------
 
+def _count(c) -> int:
+    """A cactus count as an int (an int, a bool or a numpy integer); 1.5,
+    2.0 or "1" is refused rather than truncated or parsed."""
+    try:
+        return operator.index(c)
+    except TypeError:
+        raise EdgeRingError(f"a cactus count must be an integer, not {c!r}") from None
+
+
 @dataclass(frozen=True)
 class CactusSpec:
     """Parameters for the canonical cactus shape: `triangles` 3-cycles share
@@ -474,9 +483,10 @@ class CactusSpec:
     pendants: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "triangles", _count(self.triangles))
+        object.__setattr__(self, "pendants", tuple(map(_count, self.pendants)))
         if self.triangles < 1:
             raise EmptySpecError("at least one triangle through the hub is required")
-        object.__setattr__(self, "pendants", tuple(int(c) for c in self.pendants))
         if len(self.pendants) != 2 * self.triangles:
             raise DimensionMismatchError(
                 f"need {2 * self.triangles} pendant counts, got {len(self.pendants)}"

@@ -53,6 +53,12 @@ def random_non_bipartite_graphs(rng, count):
 # ---------------------------------------------------------------- graphs
 
 
+def labels(G, mask) -> frozenset:
+    """The labels of the vertices whose bits are set in `mask` (vertex i in
+    bit i), the library's vertex-set representation."""
+    return frozenset(v for i, v in enumerate(G.vertices) if mask >> i & 1)
+
+
 def adjacency(G) -> np.ndarray:
     d = G.dimension
     A = np.zeros((d, d), dtype=np.int64)
@@ -507,7 +513,7 @@ def oracle_family_points(hf, normalization) -> frozenset:
     face lattice."""
     return frozenset(
         x for x in normalization
-        if hf.face.lattice.contains([a - b for a, b in zip(x, hf.shift)])
+        if hf.face.contains([a - b for a, b in zip(x, hf.shift)])
     )
 
 
@@ -528,7 +534,7 @@ def certified_classes(G, hole_set) -> dict:
     zero, edges, ordered = (0,) * G.dimension, edge_vectors(G), sorted(hole_set)
     classes = {}
     for H in supporting_hyperplanes(G):
-        lattice = face_of(G, H).lattice
+        lattice = face_of(G, H)
         witnesses = {0: [zero], 1: [e for e in edges if H.value(e) == 1]}
         reps = []  # (r, certified) per class met so far, in hole order
         for x in ordered:

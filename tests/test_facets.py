@@ -63,22 +63,20 @@ def test_regular_vertices_gates():
 
 def test_fundamental_sets_match_subset_oracle(small_fixture_graphs):
     for name, G in small_fixture_graphs.items():
-        got = {F.vertices for F in fundamental_sets(G)}
+        got = {oracles.labels(G, h.minus) for h in fundamental_sets(G)}
         assert got == oracles.oracle_fundamental_sets(G), name
 
 
 def test_fundamental_sets_sorted_and_consistent(t2min):
     fsets = fundamental_sets(t2min)
     assert len(fsets) == 40
-    keys = [(F.mask.bit_count(), list(bits(F.mask))) for F in fsets]
+    keys = [(h.minus.bit_count(), list(bits(h.minus))) for h in fsets]
     assert keys == sorted(keys)
     adj = t2min.neighbor_masks
-    for F in fsets:
-        assert F.neighborhood_mask == functools.reduce(
-            operator.or_, (adj[i] for i in bits(F.mask)))
-        assert not F.mask & F.neighborhood_mask
-        assert F.vertices == {t2min.vertices[i] for i in bits(F.mask)}
-        assert F.neighborhood == {t2min.vertices[i] for i in bits(F.neighborhood_mask)}
+    for h in fsets:
+        assert h.kind == "fundamental" and h.dimension == t2min.dimension
+        assert h.plus == functools.reduce(operator.or_, (adj[i] for i in bits(h.minus)))
+        assert not h.minus & h.plus
 
 
 def test_fundamental_sets_match_subset_oracle_beyond_fixtures(d13):
@@ -87,11 +85,12 @@ def test_fundamental_sets_match_subset_oracle_beyond_fixtures(d13):
               *oracles.random_non_bipartite_graphs(rng, 40)]
     for G in graphs:
         fsets = fundamental_sets(G)
-        assert {F.vertices for F in fsets} == oracles.oracle_fundamental_sets(G), G.vertices
-        for F in fsets:
-            assert F.neighborhood == {u for a, b in G.edges for t, u in ((a, b), (b, a))
-                                      if t in F.vertices}, (G.vertices, F)
-        keys = [(len(F.vertices), tuple(sorted(map(G.index, F.vertices)))) for F in fsets]
+        sets = [(oracles.labels(G, h.minus), oracles.labels(G, h.plus)) for h in fsets]
+        assert {T for T, _ in sets} == oracles.oracle_fundamental_sets(G), G.vertices
+        for T, N in sets:
+            assert N == {u for a, b in G.edges for t, u in ((a, b), (b, a))
+                         if t in T}, (G.vertices, T)
+        keys = [(len(T), tuple(sorted(map(G.index, T)))) for T, _ in sets]
         assert keys == sorted(set(keys)), G.vertices
 
 
@@ -105,7 +104,8 @@ QUERY_CACTUS_FACETS = [((4, (1, 0, 1, 0, 1, 0, 1, 0)), 279),
 def test_fundamental_sets_match_independent_set_oracle_at_query_scale():
     # d = 17: 2,481 independent sets, beyond the subset oracle's 2**17 subsets
     G = build_triangular_cactus(triangles=4, pendants=(1, 0, 1, 0, 1, 0, 1, 0))
-    got = [(F.vertices, F.neighborhood) for F in fundamental_sets(G)]
+    got = [(oracles.labels(G, h.minus), oracles.labels(G, h.plus))
+           for h in fundamental_sets(G)]
     assert got == oracles.oracle_fundamental_set_list(G)
 
 
@@ -117,9 +117,9 @@ def test_fundamental_set_counts_of_the_query_cacti(shape, count):
 
 
 def test_facets_are_freed_with_the_graph(t1min):
-    # the label sets and coefficients built on demand refer to the graph's
-    # vertex tuple, never to the graph: with the collector off, dropping G
-    # frees it while its hyperplanes live on
+    # the coefficients built on demand and the face lattices refer to no
+    # graph: with the collector off, dropping G frees it while its
+    # hyperplanes and faces live on
     tag = "_facets_freed"
     G = Graph([f"{v}{tag}" for v in t1min.vertices],
               [(f"{a}{tag}", f"{b}{tag}") for a, b in t1min.edges])
@@ -129,21 +129,22 @@ def test_facets_are_freed_with_the_graph(t1min):
         assert cone_contains(G, rho_vector(G, f"w{tag}", f"x1{tag}"))
         hyps = supporting_hyperplanes(G)
         fsets = fundamental_sets(G)
+        faces = [face_of(G, h) for h in hyps]
         coefficients = [h.coefficients for h in hyps]
-        sets = [(F.vertices, F.neighborhood) for F in fsets]
+        masks = [(h.minus, h.plus) for h in fsets]
         ref = weakref.ref(G)
         del G
         assert ref() is None
     finally:
         gc.enable()
     assert [h.coefficients for h in hyps] == coefficients
-    assert [(F.vertices, F.neighborhood) for F in fsets] == sets
-    assert all(str(v).endswith(tag) for T, N in sets for v in T | N)
+    assert [(h.minus, h.plus) for h in fsets] == masks
+    assert [face.rank for face in faces] == [t1min.dimension - 1] * len(hyps)
 
 
 def test_bowtie_single_vertex_fundamental_sets(bowtie):
-    singles = [F for F in fundamental_sets(bowtie) if len(F.vertices) == 1]
-    assert [F.vertices for F in singles] == [frozenset({"v1"})]
+    singles = [h for h in fundamental_sets(bowtie) if h.minus.bit_count() == 1]
+    assert [oracles.labels(bowtie, h.minus) for h in singles] == [frozenset({"v1"})]
 
 
 # ------------------------------------------------------- hyperplanes
@@ -159,21 +160,25 @@ def test_supporting_hyperplanes_structure(t1min):
         assert h.coefficients == tuple(
             1 if j == i else 0 for j in range(t1min.dimension)
         )
-    assert len(funds) == len(fundamental_sets(t1min))
-    for h, F in zip(funds, fundamental_sets(t1min)):
-        assert (h.minus, h.plus) == (F.mask, F.neighborhood_mask)
-        for v in F.vertices:
-            assert h.coefficients[t1min.index(v)] == -1
-        for v in F.neighborhood:
-            assert h.coefficients[t1min.index(v)] == 1
+    assert funds == list(fundamental_sets(t1min))
+    for h in funds:
+        T = oracles.labels(t1min, h.minus)
+        N = set().union(*(t1min.neighbors(t) for t in T))
+        assert h.coefficients == tuple(
+            -1 if v in T else 1 if v in N else 0 for v in t1min.vertices
+        )
 
 
 def test_fundamental_hyperplanes_are_the_fundamental_sets(small_fixture_graphs):
+    # one object per fundamental set: supporting_hyperplanes appends the
+    # very hyperplanes fundamental_sets returns, after the regular ones
     for name, G in small_fixture_graphs.items():
         hyps = supporting_hyperplanes(G)
         assert len({h.coefficients for h in hyps}) == len(hyps), name
-        funds = [(h.minus, h.plus) for h in hyps if h.kind == "fundamental"]
-        assert funds == [(F.mask, F.neighborhood_mask) for F in fundamental_sets(G)], name
+        fsets, r = fundamental_sets(G), len(regular_vertices(G))
+        assert len(hyps) == r + len(fsets), name
+        assert all(fsets[i] is hyps[r + i] for i in range(len(fsets))), name
+        assert all(h.kind == "fundamental" for h in fsets), name
 
 
 # ------------------------------------------------------- cone membership
@@ -288,32 +293,32 @@ def test_cone_rejects_negative_nonregular_coordinate(triangle):
 def test_face_dimensions_are_d_minus_1(all_fixture_graphs):
     for name, G in all_fixture_graphs.items():
         for h in supporting_hyperplanes(G):
-            assert face_of(G, h).dimension == G.dimension - 1, (name, h.kind)
+            assert face_of(G, h).rank == G.dimension - 1, (name, h.kind)
 
 
 def test_bowtie_shared_vertex_face(bowtie):
-    """The face cut out by the {v1} fundamental hyperplane consists of the
+    """The face cut out by the {v1} fundamental hyperplane is spanned by the
     four edges through v1 (each evaluates to 0; the two opposite edges
-    evaluate to 2)."""
+    evaluate to 2, so their generators lie off the face's lattice)."""
     (h,) = [
         h
         for h in supporting_hyperplanes(bowtie)
         if h.kind == "fundamental" and h.minus == 1 << bowtie.index("v1")
     ]
     face = face_of(bowtie, h)
-    assert set(face.edges) == {
-        ("v1", "v2"), ("v1", "v3"), ("v1", "v4"), ("v1", "v5")
-    }
-    assert h.value(rho_vector(bowtie, "v2", "v3")) == 2
-    assert h.value(rho_vector(bowtie, "v4", "v5")) == 2
-    assert face.dimension == 4
+    for v in ("v2", "v3", "v4", "v5"):
+        assert face.contains(rho_vector(bowtie, "v1", v))
+    for a, b in (("v2", "v3"), ("v4", "v5")):
+        assert h.value(rho_vector(bowtie, a, b)) == 2
+        assert not face.contains(rho_vector(bowtie, a, b))
+    assert face.rank == 4
 
 
 def test_triangle_faces(triangle):
     for h in supporting_hyperplanes(triangle):
         face = face_of(triangle, h)
-        assert len(face.edges) == 2
-        assert face.dimension == 2
+        assert sum(face.contains(rho_vector(triangle, u, v)) for u, v in triangle.edges) == 2
+        assert face.rank == 2
 
 
 def test_face_built_once_per_facet(cact4b):

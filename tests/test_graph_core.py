@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import oracles
@@ -11,6 +12,7 @@ from edgering import (
     DimensionMismatchError,
     DisconnectedError,
     DuplicateVertexError,
+    EdgeRingError,
     EmptySpecError,
     Graph,
     LoopEdgeError,
@@ -298,6 +300,25 @@ def test_cactus_spec_validation():
         CactusSpec(2, (1, 0, 1))
     with pytest.raises(ValueError):
         CactusSpec(1, (-1, 0))
+
+
+@pytest.mark.parametrize("triangles, pendants, bad", [
+    (2, (1.5, 0, 1, 0), "1.5"),
+    (2, ("1", 0, 1, 0), "'1'"),
+    (2.0, (1, 0, 1, 0), "2.0"),
+])
+def test_cactus_spec_refuses_non_integer_counts(triangles, pendants, bad):
+    # neither truncated nor parsed: each would otherwise build t1min, or
+    # fail later in build() with a bare TypeError
+    with pytest.raises(EdgeRingError, match=f"not {bad}$"):
+        CactusSpec(triangles, pendants)
+
+
+def test_cactus_spec_takes_bools_and_numpy_integers(t1min):
+    spec = CactusSpec(np.int64(2), (True, False, np.int8(1), 0))
+    assert spec == CactusSpec(2, (1, 0, 1, 0))
+    assert type(spec.triangles) is int and all(type(c) is int for c in spec.pendants)
+    assert spec.build() == t1min
 
 
 def test_cactus_build_shape():

@@ -29,6 +29,7 @@ from edgering import (
     enumerate_semigroup,
     exceptional_families,
     exceptional_pairs,
+    face_of,
     hole_decomposition,
     hole_families,
     holes,
@@ -36,7 +37,6 @@ from edgering import (
     member,
     q_vector,
     regular_vertices,
-    rho_vector,
     s2_verdict,
     semigroup,
     supporting_hyperplanes,
@@ -174,7 +174,7 @@ def test_admissible_sets_frozen(t1min, t2min):
     (f1,) = exceptional_families(t1min)
     assert admissible_fundamental_sets(t1min, f1) == ()
     (f2,) = exceptional_families(t2min)
-    got = [sorted(F.vertices) for F in admissible_fundamental_sets(t2min, f2)]
+    got = [sorted(oracles.labels(t2min, h.minus)) for h in admissible_fundamental_sets(t2min, f2)]
     assert got == [["x5"], ["x6"]]
 
 
@@ -182,9 +182,10 @@ def test_admissible_sets_definition(t2min, cact4a):
     for G in (t2min, cact4a):
         hub = classify(G).hub
         for fam in exceptional_families(G):
-            for F in admissible_fundamental_sets(G, fam):
-                assert hub in F.neighborhood
-                closed = F.vertices | F.neighborhood
+            for h in admissible_fundamental_sets(G, fam):
+                T, N = oracles.labels(G, h.minus), oracles.labels(G, h.plus)
+                assert hub in N
+                closed = T | N
                 for c in fam.cycles:
                     assert not closed & c.vertex_set
 
@@ -192,18 +193,30 @@ def test_admissible_sets_definition(t2min, cact4a):
 def test_admissibility_hereditary(cact4b):
     # a facet admissible for a cycle set is admissible for each pair in it
     singles = {
-        fam.cycles: set(
-            F.vertices for F in admissible_fundamental_sets(cact4b, fam)
-        )
+        fam.cycles: set(admissible_fundamental_sets(cact4b, fam))
         for fam in exceptional_families(cact4b)
         if len(fam.cycles) == 2
     }
     larger = [f for f in exceptional_families(cact4b) if len(f.cycles) > 2]
     assert larger
     for fam in larger:
-        for F in admissible_fundamental_sets(cact4b, fam):
+        for h in admissible_fundamental_sets(cact4b, fam):
             for pair in itertools.combinations(fam.cycles, 2):
-                assert F.vertices in singles[pair]
+                assert h in singles[pair]
+
+
+def test_family_facets_are_the_supporting_hyperplanes(t1min, t2min, cact4b):
+    # a family's facet is one of the graph's hyperplane objects, no copy:
+    # a fundamental one is the very hyperplane admissible_fundamental_sets
+    # returns for its cycle set, and its face is face_of's lattice
+    for G in (t1min, t2min, cact4b):
+        hyps = supporting_hyperplanes(G)
+        for hf in hole_decomposition(G):
+            assert any(hf.facet is h for h in hyps)
+            if hf.facet.kind == "fundamental":
+                assert any(hf.facet is h for h in admissible_fundamental_sets(G, hf.family))
+            assert hf.face is face_of(G, hf.facet)
+            assert hf.dimension == hf.face.rank
 
 
 # ------------------------------------------------------------ decomposition
@@ -505,7 +518,7 @@ def test_certified_classes_cover_the_holes_and_are_the_families(request, name, c
     assert set().union(*found.values()) == hole_set
     families = [hf for hf in hole_decomposition(G) if sum(hf.shift) <= D]
     matches = [[(H, r) for H, r in found if H == hf.facet
-                and hf.face.lattice.contains([a - b for a, b in zip(hf.shift, r)])]
+                and hf.face.contains([a - b for a, b in zip(hf.shift, r)])]
                for hf in families]
     assert [len(m) for m in matches] == [1] * len(families)
     assert {m[0] for m in matches} == set(found)
@@ -520,7 +533,7 @@ def test_no_family_holds_a_semigroup_point(request, name, D):
     G = request.getfixturevalue(name)
     S = enumerate_semigroup(G, D)
     for hf in hole_decomposition(G):
-        L = hf.face.lattice
+        L = hf.face
         assert not [x for x in S if L.contains([a - b for a, b in zip(x, hf.shift)])]
 
 
@@ -532,7 +545,7 @@ def test_failed_certificate_is_loud(monkeypatch, tmp_path, capsys, odd):
     # the witness from the union, so reading the points must raise
     G = build_triangular_cactus(triangles=3, pendants=(1, 0, 1, 0, 1, 0))
     hf = next(hf for hf in hole_decomposition(G) if (hf.family.hub is not None) == odd)
-    face_edge = rho_vector(G, *hf.face.edges[0])
+    face_edge = next(g for g in semigroup.generators(G) if hf.facet.value(g) == 0)
     if odd:
         witness = next(e for e in semigroup.generators(G) if hf.facet.value(e) == 1)
     else:
@@ -574,7 +587,7 @@ def test_cact4b_has_a_degree_14_hole_no_family_holds(cact4b):
     families = hole_decomposition(cact4b)
     assert len(families) == 113
     assert not [hf for hf in families
-                if hf.face.lattice.contains([a - b for a, b in zip(x, hf.shift)])]
+                if hf.face.contains([a - b for a, b in zip(x, hf.shift)])]
 
 
 def test_family_refuses_a_graph_it_was_not_built_for(t1min, t2min, bowtie):

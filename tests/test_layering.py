@@ -46,3 +46,12 @@ def test_module_imports_are_acyclic_and_point_down():
     upward = [(name, dep) for name, deps in graph.items() for dep in deps
               if LAYERS.index(dep) >= LAYERS.index(name)]
     assert upward == []
+
+
+def test_every_export_resolves_once():
+    # a stale name in __all__ (say, of a deleted class) breaks only
+    # `from edgering import *`, which no other test runs
+    import edgering
+
+    assert len(edgering.__all__) == len(set(edgering.__all__))
+    assert [name for name in edgering.__all__ if not hasattr(edgering, name)] == []
