@@ -492,7 +492,7 @@ class CactusSpec:
                 f"need {2 * self.triangles} pendant counts, got {len(self.pendants)}"
             )
         if any(c < 0 for c in self.pendants):
-            raise ValueError("pendant counts must be nonnegative")
+            raise EdgeRingError("pendant counts must be nonnegative")
 
     @property
     def dimension(self) -> int:

@@ -101,12 +101,7 @@ def parse_cactus_spec_json(text: str) -> CactusSpec:
     # exact type tests: JSON true/false decode to bool, a subclass of int
     if type(n) is not int or type(s) is not list or any(type(c) is not int for c in s):
         raise ParseError("'n' must be an integer and 's' a list of integers")
-    try:
-        return CactusSpec(n, tuple(s))
-    except EdgeRingError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return CactusSpec(n, tuple(s))
 
 
 def format_cactus_spec_json(spec: CactusSpec) -> str:

@@ -13,7 +13,10 @@ nonnegative vectors that keeps every fundamental hyperplane's value in a
 16-bit lane of one int, so a step is one addition and the cone's
 inequalities are read off the lanes' sign bits, and whose lattice test is
 the leaf's degree parity; (B) closes S_D's slabs under adding the cycle-pair
-vectors (Ohsugi-Hibi), and the points it adds are the holes.
+vectors (Ohsugi-Hibi), and the points it adds are the holes. B runs first,
+and A strikes each point it finds off B's slab of that degree, so N_D is
+held once: the methods agree when no point is missing from its slab or
+found twice, and no slab keeps a point.
 """
 
 from __future__ import annotations
@@ -204,12 +207,11 @@ def enumerate_semigroup(G: Graph, D: int) -> frozenset:
 
 
 def enumerate_normalization(G: Graph, D: int) -> frozenset:
-    """All vectors of degree <= D in cone ∩ lattice, by the two independent
-    methods of the module docstring, which must agree: (A) the lane walk
-    (the regular-vertex inequalities hold on nonnegative vectors) and (B)
-    the closure of S_D's slabs. Disagreement raises MethodMismatchError:
-    either a bug or a graph outside the supported class."""
-    return _unpack_all(_normalization(G, D)[0], G.dimension)
+    """All vectors of degree <= D in cone ∩ lattice: S_D and the holes, on
+    which the two independent methods of the module docstring must agree:
+    (A) the lane walk and (B) the closure of S_D's slabs. Disagreement raises
+    MethodMismatchError: either a bug or a graph outside the supported class."""
+    return enumerate_semigroup(G, D) | holes(G, D)
 
 
 def holes(G: Graph, D: int) -> frozenset:
@@ -231,23 +233,32 @@ def hole_report(G: Graph, D: int) -> list[tuple]:
 def _enumeration(G: Graph, D: int) -> tuple:
     # the one cached result of enumerating to degree D: (|N_D|, the holes
     # unpacked). N_D and the slabs of S_D are freed on return
-    normalization, new = _normalization(G, D)
-    return len(normalization), _unpack_all(new, G.dimension)
+    size, new = _normalization(G, D)
+    return size, _unpack_all(new, G.dimension)
 
 
 def _normalization(G: Graph, D: int) -> tuple:
-    # N_D packed by method A, and the holes packed: the points method B adds
-    # to S_D's slabs, lazily. Both methods run and must agree: B's slabs hold
-    # one degree each, so A agrees when it has their total size and each one
+    # |N_D| and the holes packed, from method B's closed slabs; the slabs B
+    # replaced are freed before method A strikes its points off the closed
+    # ones (a KeyError: a point missing or found twice). Only a disagreement
+    # runs both methods again, to collect the difference
     slabs = _semigroup_slabs(G, D)
-    by_filter = _enumerate_by_inequalities(G, D)
-    by_closure = _enumerate_by_closure(G, D, slabs)
-    if (len(by_filter) != sum(map(len, by_closure))
-            or not all(map(by_filter.issuperset, by_closure))):
-        d, union = G.dimension, frozenset().union(*by_closure)
-        raise MethodMismatchError(_unpack_all(by_filter - union, d),
-                                  _unpack_all(union - by_filter, d))
-    return by_filter, (n for c, s in zip(by_closure, slabs) if c is not s for n in c - s)
+    closed = _enumerate_by_closure(G, D, slabs)
+    new = [n for c, s in zip(closed, slabs) if c is not s for n in c - s]
+    del slabs
+    size = sum(map(len, closed))
+    try:
+        _enumerate_by_inequalities(G, D, [c.remove for c in closed])
+    except KeyError:
+        pass
+    else:
+        if not any(closed):
+            return size, new
+    del closed
+    d, by_filter = G.dimension, _enumerate_by_inequalities(G, D)
+    union = set().union(*_enumerate_by_closure(G, D))
+    raise MethodMismatchError(_unpack_all(by_filter - union, d),
+                              _unpack_all(union - by_filter, d))
 
 
 def _semigroup_slabs(G: Graph, D: int) -> tuple:
@@ -259,12 +270,12 @@ def _semigroup_slabs(G: Graph, D: int) -> tuple:
     # k > i, added to slab j's points with no positive coordinate below i
     # (drop the edge that covers i); tiers[i] holds slab j's points of least i
     gens = [[g for _, g, _ in step] for step in _packed_generators(G, 8)[1]]
-    slabs, tiers, pool = [frozenset((0,))], [()] * G.dimension, [0]
+    slabs, tiers, pool = [{0}], [()] * G.dimension, [0]
     for _ in range(D // 2):
         for i in reversed(range(G.dimension)):
             pool += tiers[i]
             tiers[i] = {s + g for g in gens[i] for s in pool}
-        slabs.append(frozenset().union(*tiers))
+        slabs.append(set().union(*tiers))
         pool = []
     return tuple(slabs)
 
@@ -286,7 +297,8 @@ def _require_parity_lattice(G: Graph) -> None:
         )
 
 
-def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
+def _enumerate_by_inequalities(G: Graph, D: int, sinks=None) -> frozenset | None:
+    # N_D packed, or None with each point handed to sinks[degree // 2]
     _check_degree(D)
     d = G.dimension
     hyps = [h for h in supporting_hyperplanes(G) if h.kind == "fundamental"]
@@ -323,15 +335,18 @@ def _enumerate_by_inequalities(G: Graph, D: int) -> frozenset:
     last = (step, 2 * step, keep, reach, unit, 2 * unit)
     found: list[int] = []
     if D >= 0:
-        walk = (table, len(table) - 1, last, found.append, D)
+        by_half = [found.append] * (D // 2 + 1) if sinks is None else sinks
+        # tails[rest]: the sinks of the degrees from D - rest up to D
+        tails = [by_half[(D - rest + 1) >> 1:] for rest in range(D + 1)]
+        walk = (table, len(table) - 1, last, tails, D)
         _lane_walk(0, _lanes([0] * n + [D] * n), D, 0, walk)
-    return frozenset(found)
+    return frozenset(found) if sinks is None else None
 
 
 def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:
     # column k of method A: x[k] runs from 0 while the `keep` lanes hold;
     # module level, so no self-referencing closure is left for the collector
-    table, penultimate, last, found, D = walk
+    table, penultimate, last, tails, D = walk
     step, keep, reach, unit = table[k]
     if k < penultimate:
         v = 0
@@ -342,8 +357,9 @@ def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:
                 elif not D & 1:
                     # no degree left: every later coordinate is 0, and
                     # every f_h >= 0 already: `keep` holds f_h + 0 for h
-                    # with a later +1 and f_h for c <= 0, `reach` the rest
-                    found(packed)
+                    # with a later +1 and f_h for c <= 0, `reach` the rest;
+                    # tails[0] holds only the sink of degree D
+                    tails[0][0](packed)
             if v == left:
                 return
             v += 1
@@ -353,18 +369,20 @@ def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:
                 return
     # the penultimate column: at each of its values the last coordinate w
     # takes only the values that make the degree D - rest + w even (lattice
-    # points have even degree), two units at a time. The last column's `keep`
-    # lanes only fall, so checking them at each landing is exact
+    # points have even degree), two units at a time, so the leaves meet the
+    # sinks of tails[rest] in turn. The last column's `keep` lanes only fall,
+    # so checking them at each landing is exact
     step1, step2, keep1, reach1, unit1, unit2 = last
     rest = left
     while True:
         if (lanes & reach) == reach:
             w = (D - rest) & 1
             leaf_lanes, leaf = (lanes + step1, packed + unit1) if w else (lanes, packed)
-            while w <= rest and (leaf_lanes & keep1) == keep1:
+            for sink in tails[rest]:
+                if (leaf_lanes & keep1) != keep1:
+                    break
                 if (leaf_lanes & reach1) == reach1:
-                    found(leaf)
-                w += 2
+                    sink(leaf)
                 leaf_lanes += step2
                 leaf += unit2
         if not rest:

@@ -60,6 +60,21 @@ def test_gen_bad_pendants(capsys):
     assert code == 2
 
 
+def test_gen_negative_pendants_both_forms_refused_alike(tmp_path, capsys):
+    # --s and --spec describe the same cactus, so they fail with one message
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 1, "s": [-1, 0]}))
+    errors = []
+    for argv in (["--n", "1", "--s=-1,0"], ["--spec", str(spec)]):
+        out = tmp_path / "g.graph"
+        assert main(["gen", *argv, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        errors.append(captured.err)
+    assert errors[0] == errors[1] == (
+        "edgering: EdgeRingError: pendant counts must be nonnegative\n")
+
+
 def test_gen_from_spec_file(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"n": 3, "s": [1, 0, 1, 0, 0, 0]}))

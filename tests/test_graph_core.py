@@ -298,7 +298,7 @@ def test_cactus_spec_validation():
         CactusSpec(0, ())
     with pytest.raises(DimensionMismatchError):
         CactusSpec(2, (1, 0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(EdgeRingError, match="nonnegative"):
         CactusSpec(1, (-1, 0))
 
 

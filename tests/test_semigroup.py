@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,21 +433,43 @@ def test_degree_above_the_lane_limit_is_refused(triangle):
             enumerate_(triangle, 256)
 
 
+def _method_a_editing(edit):
+    # method A, except that each point n the walk finds reaches its sink as
+    # the points edit(n): when the record strikes points off method B's
+    # slabs and when a mismatch collects them
+    method = semigroup._enumerate_by_inequalities
+
+    def stand_in(G, D, sinks=None):
+        found = []
+        targets = [found.append] * (D // 2 + 1) if sinks is None else sinks
+
+        def edited(sink):
+            def hand_on(n):
+                for m in edit(n):
+                    sink(m)
+            return hand_on
+
+        method(G, D, [edited(sink) for sink in targets])
+        return frozenset(found) if sinks is None else None
+
+    return stand_in
+
+
 @pytest.mark.parametrize("dropped_by", ["_enumerate_by_inequalities", "_enumerate_by_closure"])
 def test_method_mismatch_reports_tuple_vectors(monkeypatch, dropped_by):
     # one method loses the degree-6 hole; the error names it as a vector
     q = pair_vector(load("t1min"), exceptional_pairs(load("t1min"))[0])
-    method = getattr(semigroup, dropped_by)
+    if dropped_by == "_enumerate_by_inequalities":
+        stand_in = _method_a_editing(lambda n: () if n == _pack(q) else (n,))
+    else:
+        # method B returns one set per degree, and may be handed S_D's
+        # slabs: pass them through
+        method = semigroup._enumerate_by_closure
 
-    def drop(found):
-        # method A returns one set, method B one set per degree
-        if isinstance(found, frozenset):
-            return found - {_pack(q)}
-        return tuple(slab - {_pack(q)} for slab in found)
+        def stand_in(G, D, *slabs):
+            return tuple(slab - {_pack(q)} for slab in method(G, D, *slabs))
 
-    # method B may be handed S_D's slabs: pass them through
-    monkeypatch.setattr(semigroup, dropped_by,
-                        lambda G, D, *slabs: drop(method(G, D, *slabs)))
+    monkeypatch.setattr(semigroup, dropped_by, stand_in)
     with pytest.raises(MethodMismatchError) as err:
         enumerate_normalization(build("t1min"), 8)
     only_a, only_b = frozenset({q}), frozenset()
@@ -469,13 +492,45 @@ def test_method_mismatch_when_method_a_swaps_a_point_of_the_same_degree(monkeypa
     q = pair_vector(G, exceptional_pairs(G)[0])
     stray = (6,) + (0,) * (G.dimension - 1)
     assert sum(stray) == sum(q) and not cone_contains(G, stray)
-    method = semigroup._enumerate_by_inequalities
-    monkeypatch.setattr(semigroup, "_enumerate_by_inequalities",
-                        lambda G, D: method(G, D) - {_pack(q)} | {_pack(stray)})
+    monkeypatch.setattr(semigroup, "_enumerate_by_inequalities", _method_a_editing(
+        lambda n: (_pack(stray),) if n == _pack(q) else (n,)))
     with pytest.raises(MethodMismatchError) as err:
         enumerate_normalization(G, 8)
     assert err.value.only_first == frozenset({stray})
     assert err.value.only_second == frozenset({q})
+
+
+def test_method_mismatch_when_method_a_finds_a_point_twice(monkeypatch):
+    # a set of method A's points hides the repeat; striking each point off
+    # method B's slab of its degree does not
+    G = build("t1min")
+    N8 = enumerate_normalization(G, 8)
+    p = _pack(pair_vector(G, exceptional_pairs(G)[0]))
+    monkeypatch.setattr(semigroup, "_enumerate_by_inequalities",
+                        _method_a_editing(lambda n: (n,)))
+    assert enumerate_normalization(build("t1min"), 8) == N8
+    monkeypatch.setattr(semigroup, "_enumerate_by_inequalities",
+                        _method_a_editing(lambda n: (n, n) if n == p else (n,)))
+    with pytest.raises(MethodMismatchError) as err:
+        enumerate_normalization(build("t1min"), 8)
+    # as sets the two methods agree, so neither names a point
+    assert err.value.only_first == err.value.only_second == frozenset()
+
+
+def test_the_record_builds_no_second_copy_of_the_normalization():
+    # method A strikes its points off method B's slabs, so the record's heap
+    # peak stays near that of building S_D's slabs alone; collecting A's
+    # points into a set of their own made it 1.66 times as high
+    def peak(fn):
+        G = build("t2min")
+        tracemalloc.start()
+        try:
+            fn(G, 10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(semigroup._enumeration) <= 1.25 * peak(semigroup._semigroup_slabs)
 
 
 def test_method_mismatch_error_payload():
