@@ -29,7 +29,8 @@ from .exceptional import (
     require_diameter4_cactus,
 )
 from .facets import face_of, fundamental_sets, regular_vertices, supporting_hyperplanes
-from .graph_core import cutpoints, diameter, exceptional_pairs, is_normal, pair_vector
+from .graph_core import (cutpoints, cycles_json, diameter, exceptional_pairs, is_normal,
+                         pair_vector)
 from .hole_families import classify, s2_verdict
 from .semigroup import _enumeration, holes, member
 
@@ -156,7 +157,7 @@ def criterion_doubling(G, name) -> tuple:
     rows = []
     for P in exceptional_pairs(G):
         q = pair_vector(G, P)
-        rows.append({"pair": P.as_json(), "member_q": member(G, q),
+        rows.append({"pair": cycles_json(P), "member_q": member(G, q),
                      "member_2q": member(G, tuple(2 * a for a in q))})
     ok = all(r["member_q"] is False and r["member_2q"] is True for r in rows)
     return ok, rows

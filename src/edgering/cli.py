@@ -25,6 +25,7 @@ from .errors import (
 from .facets import fundamental_sets, regular_vertices, supporting_hyperplanes
 from .graph_core import (
     CactusSpec,
+    cycles_json,
     diameter,
     exceptional_pairs,
     is_normal,
@@ -125,7 +126,7 @@ def cmd_analyze(args) -> int:
     pairs = exceptional_pairs(G)
     report["normality"] = {
         "is_normal": normal,
-        "exceptional_pairs": [P.as_json() for P in pairs],
+        "exceptional_pairs": [cycles_json(P) for P in pairs],
     }
     print(f"normal: {normal} ({len(pairs)} exceptional pair(s))")
 

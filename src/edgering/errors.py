@@ -76,16 +76,20 @@ class MethodMismatchError(EdgeRingError):
     """The two independent normalization enumerations disagree.
 
     Carries the two one-sided differences so the caller can report
-    exactly which vectors only one method produced.
+    exactly which vectors only one method produced, and `found_twice`, a
+    vector the inequality method produced twice, or None.
     """
 
-    def __init__(self, only_first, only_second):
+    def __init__(self, only_first, only_second, found_twice):
         self.only_first = frozenset(only_first)
         self.only_second = frozenset(only_second)
+        self.found_twice = found_twice
+        twice = "" if found_twice is None else (
+            f", and the inequality method found {found_twice} twice")
         super().__init__(
             "normalization enumerations disagree: "
             f"{len(self.only_first)} vectors only from the inequality method, "
-            f"{len(self.only_second)} only from the closure method"
+            f"{len(self.only_second)} only from the closure method{twice}"
         )
 
 

@@ -2,7 +2,8 @@
 case generators and the reports that check each case against the membership
 oracle. The closed forms are proved only for triangular cacti of diameter 4:
 `require_diameter4_cactus` gates them, and they refuse other inputs rather
-than extrapolate. The pairs and the odd cycle condition live in `graph_core`.
+than extrapolate. The pairs and the odd cycle condition live in `graph_core`;
+a pair is a 2-tuple of minimal odd cycles.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .graph_core import (
-    ExceptionalPair,
     Graph,
     _add,
+    cycles_json,
+    cycles_vertex_set,
     diameter,
     exceptional_pairs,
     hub_vertex,
@@ -47,15 +49,15 @@ def require_diameter4_cactus(G: Graph):
     return hub_vertex(G)
 
 
-def _require_pair(G: Graph, P: ExceptionalPair) -> None:
-    for c in P.cycles():
-        if c not in minimal_odd_cycles(G):
-            raise PreconditionViolatedError(f"{c} is not a minimal odd cycle of G")
-    if not is_exceptional(G, P.first, P.second):
+def _require_pair(G: Graph, P: tuple) -> None:
+    odd = minimal_odd_cycles(G)
+    if not (isinstance(P, tuple) and len(P) == 2 and all(c in odd for c in P)):
+        raise PreconditionViolatedError(f"{P!r} is not two minimal odd cycles of G")
+    if not is_exceptional(G, *P):
         raise PreconditionViolatedError("the given pair is not exceptional")
 
 
-def lemma_pair_sum(G: Graph, P1: ExceptionalPair, P2: ExceptionalPair) -> bool:
+def lemma_pair_sum(G: Graph, P1: tuple, P2: tuple) -> bool:
     """Whether the sum of both pairs' cycle vectors lies in the semigroup.
 
     True iff the four cycles can be re-matched across the pairs so that both
@@ -65,19 +67,19 @@ def lemma_pair_sum(G: Graph, P1: ExceptionalPair, P2: ExceptionalPair) -> bool:
     require_diameter4_cactus(G)
     _require_pair(G, P1)
     _require_pair(G, P2)
-    a, b = P1.cycles()
-    c, d = P2.cycles()
+    a, b = P1
+    c, d = P2
     for left, right in (((a, c), (b, d)), ((a, d), (b, c))):
         if not is_exceptional(G, *left) and not is_exceptional(G, *right):
             return True
     return False
 
 
-def lemma_pair_sum_vector(G: Graph, P1: ExceptionalPair, P2: ExceptionalPair) -> tuple:
+def lemma_pair_sum_vector(G: Graph, P1: tuple, P2: tuple) -> tuple:
     return _add(pair_vector(G, P1), pair_vector(G, P2))
 
 
-def lemma_edge_augment(G: Graph, P: ExceptionalPair, edge) -> bool:
+def lemma_edge_augment(G: Graph, P: tuple, edge) -> bool:
     """Whether pair vector + unit(u) + unit(v) for an edge {u, v} lies in
     the semigroup: true iff one endpoint is the hub and the other is in the
     pair's vertex set or its neighborhood."""
@@ -90,11 +92,11 @@ def lemma_edge_augment(G: Graph, P: ExceptionalPair, edge) -> bool:
     return (u == w and v in reach) or (v == w and u in reach)
 
 
-def lemma_edge_augment_vector(G: Graph, P: ExceptionalPair, edge) -> tuple:
+def lemma_edge_augment_vector(G: Graph, P: tuple, edge) -> tuple:
     return _add(pair_vector(G, P), indicator(G, edge))
 
 
-def lemma_double_w_edge(G: Graph, P: ExceptionalPair, u, v) -> bool:
+def lemma_double_w_edge(G: Graph, P: tuple, u, v) -> bool:
     """Whether pair vector + rho({u, hub}) + rho({v, hub}) lies in the
     semigroup, for hub neighbors u, v outside the pair's closed reach:
     true iff {u, v} is an edge."""
@@ -111,7 +113,7 @@ def lemma_double_w_edge(G: Graph, P: ExceptionalPair, u, v) -> bool:
     return G.has_edge(u, v)
 
 
-def lemma_double_w_edge_vector(G: Graph, P: ExceptionalPair, u, v) -> tuple:
+def lemma_double_w_edge_vector(G: Graph, P: tuple, u, v) -> tuple:
     w = require_diameter4_cactus(G)
     q = pair_vector(G, P)
     return _add(q, _add(indicator(G, G.edge(u, w)), indicator(G, G.edge(v, w))))
@@ -128,7 +130,7 @@ def pair_sum_cases(G: Graph):
         vec = lemma_pair_sum_vector(G, P1, P2)
         yield _report(
             G, "pair_sum",
-            {"pair1": P1.as_json(), "pair2": P2.as_json()},
+            {"pair1": cycles_json(P1), "pair2": cycles_json(P2)},
             lemma_pair_sum(G, P1, P2), vec,
         )
 
@@ -140,7 +142,7 @@ def edge_augment_cases(G: Graph):
             vec = lemma_edge_augment_vector(G, P, e)
             yield _report(
                 G, "edge_augment",
-                {"pair": P.as_json(), "edge": [str(e[0]), str(e[1])]},
+                {"pair": cycles_json(P), "edge": [str(e[0]), str(e[1])]},
                 lemma_edge_augment(G, P, e), vec,
             )
 
@@ -157,7 +159,7 @@ def double_w_edge_cases(G: Graph):
             vec = lemma_double_w_edge_vector(G, P, u, v)
             yield _report(
                 G, "double_w_edge",
-                {"pair": P.as_json(), "u": str(u), "v": str(v)},
+                {"pair": cycles_json(P), "u": str(u), "v": str(v)},
                 lemma_double_w_edge(G, P, u, v), vec,
             )
 
@@ -176,6 +178,7 @@ def _report(G: Graph, lemma: str, inputs: dict, closed_form: bool, vec: tuple) -
     }
 
 
-def _closed_reach(G: Graph, P: ExceptionalPair) -> frozenset:
+def _closed_reach(G: Graph, P: tuple) -> frozenset:
     """The pair's vertices and every vertex adjacent to one of them."""
-    return P.vertex_set | neighbors_of_set(G, P.vertex_set)
+    on = cycles_vertex_set(P)
+    return on | neighbors_of_set(G, on)

@@ -16,6 +16,7 @@ serves components, connectivity, eccentricities and the odd-cycle test.
 The odd cycle condition decides normality: the edge ring is normal iff no
 exceptional pair exists, two vertex-disjoint chordless odd cycles with no
 edge between them, whose vector is in the normalization, not the semigroup.
+A set of such cycles, a pair among them, is a plain tuple of `Cycle`s.
 """
 
 from __future__ import annotations
@@ -278,23 +279,14 @@ def minimal_odd_cycles(G: Graph) -> tuple[Cycle, ...]:
     return tuple(Cycle(tuple(G.vertices[i] for i in path)) for path in found)
 
 
-@dataclass(frozen=True)
-class ExceptionalPair:
-    """Unordered pair of vertex-disjoint, bridge-free chordless odd cycles;
-    `first` precedes `second` in the canonical cycle order."""
+def cycles_vertex_set(cycles: Iterable[Cycle]) -> frozenset:
+    """The vertices of a set of cycles."""
+    return frozenset().union(*(c.vertex_set for c in cycles))
 
-    first: Cycle
-    second: Cycle
 
-    def cycles(self) -> tuple[Cycle, Cycle]:
-        return (self.first, self.second)
-
-    @property
-    def vertex_set(self) -> frozenset:
-        return self.first.vertex_set | self.second.vertex_set
-
-    def as_json(self) -> list:
-        return [list(map(str, self.first.vertices)), list(map(str, self.second.vertices))]
+def cycles_json(cycles: Iterable[Cycle]) -> list:
+    """Each cycle's vertex labels, in its canonical order."""
+    return [list(map(str, c.vertices)) for c in cycles]
 
 
 def cycle_vector(G: Graph, cycle: Cycle) -> tuple:
@@ -302,8 +294,9 @@ def cycle_vector(G: Graph, cycle: Cycle) -> tuple:
     return indicator(G, cycle.vertices)
 
 
-def pair_vector(G: Graph, pair: ExceptionalPair) -> tuple:
-    return _add(cycle_vector(G, pair.first), cycle_vector(G, pair.second))
+def pair_vector(G: Graph, pair: tuple) -> tuple:
+    a, b = pair
+    return _add(cycle_vector(G, a), cycle_vector(G, b))
 
 
 def is_exceptional(G: Graph, a: Cycle, b: Cycle) -> bool:
@@ -314,14 +307,10 @@ def is_exceptional(G: Graph, a: Cycle, b: Cycle) -> bool:
 
 @per_graph
 def exceptional_pairs(G: Graph) -> tuple:
-    """All unordered exceptional pairs of minimal odd cycles, in canonical
-    cycle order."""
-    cycles = minimal_odd_cycles(G)
-    return tuple(
-        ExceptionalPair(a, b)
-        for a, b in itertools.combinations(cycles, 2)
-        if is_exceptional(G, a, b)
-    )
+    """All unordered exceptional pairs of minimal odd cycles, as 2-tuples
+    in canonical cycle order."""
+    return tuple(P for P in itertools.combinations(minimal_odd_cycles(G), 2)
+                 if is_exceptional(G, *P))
 
 
 def is_normal(G: Graph) -> bool:

@@ -17,13 +17,15 @@ hole: each odd cycle needs an edge leaving it, none joins two of them, and
 the one unit at w can close one cycle but not k >= 3.
 
 Facets. The facet must keep the shift at its least height, so the cycles
-must not count in it: a fundamental set T qualifies when w lies in N(T) and
-T's closed neighborhood misses every cycle of C (height 0 for even k, 1 for
-odd), and on Type 1 (hub regular) so does the hub facet x_w >= 0.
+must not count in it: one mask test over the supporting hyperplanes keeps
+those whose +1 mask holds w and whose masks miss C (height 0 for even k, 1
+for odd). It passes the fundamental sets T with w in N(T) and N[T] clear
+of C, and the hub facet x_w >= 0, which exists exactly on Type 1.
 
 Points. Every family point is a hole, at every degree: a lattice
-certificate per family (`_certify`) proves that the family holds no
-semigroup point, so its points are read from the holes. Only the other
+certificate per family (`_certify`), exact at any height of the shift on
+its facet, proves that the family holds no semigroup point, so its points
+are read from the holes. Only the other
 direction, that the families cover every hole, is checked, up to the
 truncation degree D. It is not proven: a sweep of every class with d <= 17
 and at most 3 pendants per spoke found the union equal to the holes at
@@ -33,8 +35,9 @@ not cover spokes with 4 or more pendants, or k = 5 (d >= 21, shift degree
 
 Coverage fails at degree 14. On cact4b (d = 17) the degree-14 hole
 2 e_w + the indicators of the four pendant triangles lies at height 2 on
-the hub facet, and every family here sits at height 0 or 1 on its facet, so
-no family holds it and verify_decomposition(cact4b, 14) raises
+the hub facet. Its class there certifies, but the recipe above builds every
+family at height 0 or 1 on its facet, so the family that would hold it is
+missing and verify_decomposition(cact4b, 14) raises
 DecompositionMismatchError. The default degree cap of 12 stays below it.
 ROADMAP item 1 tracks the gap, and
 test_cact4b_has_a_degree_14_hole_no_family_holds pins it.
@@ -58,6 +61,9 @@ from .errors import (
 from .exceptional import require_diameter4_cactus
 from .graph_core import (
     Graph,
+    _add,
+    cycles_json,
+    cycles_vertex_set,
     exceptional_pairs,
     generators,
     indicator,
@@ -126,67 +132,43 @@ def classify(G: Graph) -> CactusType:
     return CactusType(tag, hub, zeta, omega, len(spokes) // 2)
 
 
-@dataclass(frozen=True)
-class ExceptionalFamily:
-    """A set of at least two pairwise-exceptional minimal odd cycles, in
-    canonical cycle order. An odd set also holds the hub, whose unit joins
-    its shift."""
-
-    cycles: tuple
-    hub: object = None
-
-    @property
-    def vertex_set(self) -> frozenset:
-        return frozenset().union(*(c.vertex_set for c in self.cycles))
-
-    def as_json(self) -> dict:
-        cycles = [list(map(str, c.vertices)) for c in self.cycles]
-        if len(cycles) == 2:
-            return {"pairs": [cycles]}
-        out = {"cycles": cycles}
-        if self.hub is not None:
-            out["hub"] = str(self.hub)
-        return out
-
-
 @per_graph
 def exceptional_families(G: Graph) -> tuple:
-    """Every set of at least two pairwise-exceptional minimal odd cycles, by
-    size and then in canonical order, each grown from its last cycle's later
-    partners; the two-cycle sets are the exceptional pairs."""
-    hub = require_diameter4_cactus(G)
+    """Every set of at least two pairwise-exceptional minimal odd cycles, a
+    tuple in canonical order, by size and then in that order, each grown from
+    its last cycle's later partners; the two-cycle sets are the pairs."""
+    require_diameter4_cactus(G)
     pairs = exceptional_pairs(G)
     later = {}
-    for P in pairs:
-        later.setdefault(P.first, []).append(P.second)
-    out = []
-    sets = [P.cycles() for P in pairs]
+    for a, b in pairs:
+        later.setdefault(a, []).append(b)
+    out, sets = [], list(pairs)
     while sets:
-        out += [ExceptionalFamily(s, hub if len(s) % 2 else None) for s in sets]
+        out += sets
         sets = [s + (c,) for s in sets for c in later.get(s[-1], ())
                 if all(is_exceptional(G, a, c) for a in s[:-1])]
     return tuple(out)
 
 
-def q_vector(G: Graph, family: ExceptionalFamily) -> tuple:
-    """The family's shift: the indicator of its cycles' vertices, plus the
-    hub unit for an odd set; degree 3k or 3k + 1 for k pendant triangles."""
-    if not family.cycles:
+def q_vector(G: Graph, cycles: tuple) -> tuple:
+    """The shift of k cycles: the indicator of their vertices, plus the hub
+    unit for odd k; degree 3k or 3k + 1 for k pendant triangles."""
+    if not cycles:
         raise EmptySetError("a family needs at least two exceptional cycles")
-    hub = () if family.hub is None else (family.hub,)
-    return indicator(G, family.vertex_set.union(hub))
+    hub = (require_diameter4_cactus(G),) if len(cycles) % 2 else ()
+    return indicator(G, cycles_vertex_set(cycles).union(hub))
 
 
-def admissible_fundamental_sets(G: Graph, family: ExceptionalFamily) -> tuple:
-    """The hyperplanes of the fundamental sets T whose neighborhood N(T)
-    (the +1 mask) contains the hub and whose closed neighborhood misses
-    every cycle of the family."""
+def admissible_facets(G: Graph, cycles: tuple) -> tuple:
+    """The supporting hyperplanes whose +1 mask holds the hub and whose
+    masks miss the cycles: the fundamental sets T with the hub in N(T) and
+    N[T] clear of the cycles, in `fundamental_sets` order, then the one
+    regular hyperplane that passes, the hub facet x_w >= 0 of Type 1."""
     hub = 1 << G.index(require_diameter4_cactus(G))
-    cycles = sum(1 << G.index(v) for v in family.vertex_set)
-    return tuple(
-        h for h in facets_mod.fundamental_sets(G)
-        if h.plus & hub and not (h.minus | h.plus) & cycles
-    )
+    on = sum(1 << G.index(v) for v in cycles_vertex_set(cycles))
+    return tuple(sorted((h for h in facets_mod.supporting_hyperplanes(G)
+                         if h.plus & hub and not (h.plus | h.minus) & on),
+                        key=lambda h: h.kind == "regular"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +183,7 @@ class HoleFamily:
 
     shift: tuple
     facet: facets_mod.Hyperplane
-    family: ExceptionalFamily
+    cycles: tuple
     face: IntegerLattice
 
     @property
@@ -230,8 +212,11 @@ class HoleFamily:
             "facet": self.facet.as_json(G),
             "dimension": self.dimension,
             "source": self.source,
-            **self.family.as_json(),
         }
+        cycles = cycles_json(self.cycles)
+        out.update({"pairs": [cycles]} if len(cycles) == 2 else {"cycles": cycles})
+        if len(cycles) % 2:
+            out["hub"] = str(require_diameter4_cactus(G))
         if D is not None:
             out["points_by_degree"] = count_by_degree(self.points(G, D))
         return out
@@ -270,27 +255,18 @@ def _in_family(hf: HoleFamily, x) -> bool:
 
 def _certify(G: Graph, hf: HoleFamily) -> int:
     """Prove that the family holds no semigroup point at any degree, and
-    return its shift's height H(q) on its facet H.
+    return its shift's height h = H(q) on its facet H.
 
     Every edge has H(e) >= 0 and the face lattice L_F lies in H = 0, so a
-    semigroup point x in the family has H(x) = H(q). At height 0 it uses
-    face edges only, so x lies in 0 + L_F; at height 1 it is one edge e with
-    H(e) = 1 plus face edges, so x lies in e + L_F. The family is free of
-    semigroup points iff none of these low-degree witnesses (0, or each
-    such e) is in it. A witness in it is a family point that is no hole,
-    and raises DecompositionMismatchError.
+    semigroup point x in the family has H(x) = h: it is a sum of edges with
+    H(e) >= 1 whose H-values add to h, plus face edges, so it lies in
+    w + L_F for one of the finitely many such sums w (`_witnesses`). The
+    family is free of semigroup points iff no witness is in it. A witness
+    in it is a family point that is no hole, and raises
+    DecompositionMismatchError.
     """
-    H = hf.facet
-    height = H.value(hf.shift)
-    if height == 0:
-        witnesses = [(0,) * G.dimension]
-    elif height == 1:
-        witnesses = [e for e in generators(G) if H.value(e) == 1]
-    else:
-        raise PreconditionViolatedError(
-            f"a family's shift must lie at height 0 or 1 on its facet, not {height}"
-        )
-    for w in witnesses:
+    height = hf.facet.value(hf.shift)
+    for w in _witnesses(G, hf.facet, height):
         if _in_family(hf, w):
             raise DecompositionMismatchError({
                 "family": hf.as_json(G),
@@ -301,12 +277,22 @@ def _certify(G: Graph, hf: HoleFamily) -> int:
     return height
 
 
+def _witnesses(G: Graph, H: facets_mod.Hyperplane, h: int) -> tuple:
+    """The sums of edges e with H(e) >= 1 whose H-values add to h, each
+    once: {0} at h = 0, the edges with H(e) = 1 at h = 1, in edge order.
+    A sum at height k is an edge of height j plus a sum at height k - j."""
+    sums = {0: dict.fromkeys([(0,) * G.dimension])}
+    for k in range(1, h + 1):
+        sums[k] = dict.fromkeys(_add(e, s) for e in generators(G)
+                                if 1 <= (j := H.value(e)) <= k for s in sums[k - j])
+    return tuple(sums.get(h, ()))
+
+
 def hole_decomposition(G: Graph, D: int | None = None) -> tuple:
     """The predicted families: for every exceptional cycle set, one family
-    per admissible fundamental set, plus the hub facet family when
-    the hub is regular (Type 1). The families are built once per graph;
-    passing D also computes every family's points at degree D, certifying
-    each family and filtering the holes."""
+    per admissible facet. The families are built once per graph; passing D
+    also computes every family's points at degree D, certifying each family
+    and filtering the holes."""
     families = _families(G)
     if D is not None:
         _family_points(G, D)
@@ -315,14 +301,11 @@ def hole_decomposition(G: Graph, D: int | None = None) -> tuple:
 
 @per_graph
 def _families(G: Graph) -> tuple:
-    hub = require_diameter4_cactus(G)
-    # the hub's own facet x_w >= 0 exists exactly when the hub is regular
-    hub_facets = tuple(h for h in facets_mod.supporting_hyperplanes(G) if h.vertex == hub)
     families = []
-    for fam in exceptional_families(G):
-        q = q_vector(G, fam)
-        fam_facets = admissible_fundamental_sets(G, fam) + hub_facets
-        families += [HoleFamily(q, h, fam, facets_mod.face_of(G, h)) for h in fam_facets]
+    for cycles in exceptional_families(G):
+        q = q_vector(G, cycles)
+        families += [HoleFamily(q, h, cycles, facets_mod.face_of(G, h))
+                     for h in admissible_facets(G, cycles)]
     return tuple(families)
 
 
@@ -339,7 +322,7 @@ def verify_decomposition(G: Graph, D: int) -> dict:
         "graph": {"dimension": G.dimension, "edges": G.edge_count},
         "degree": D,
         "type": classify(G).as_json(),
-        "exceptional_pairs": [P.as_json() for P in exceptional_pairs(G)],
+        "exceptional_pairs": [cycles_json(P) for P in exceptional_pairs(G)],
         "families": [hf.as_json(G, D) for hf in families],
         "family_dimensions": [hf.dimension for hf in families],
         "hole_count_by_degree": count_by_degree(hole_set),
@@ -373,8 +356,9 @@ def default_truncation(G: Graph) -> int:
     odd set of n = 3 has degree 10 and the four-cycle set of n = 4 has 12.
     Such a family's certificate still holds at every degree, but whether the
     families cover the holes is checked only up to the bound, and at degree
-    14 they do not: cact4b has a hole there that no family holds (see the
-    module docstring). The default cap of 12 keeps this bound below it."""
+    14 they do not: cact4b has a hole there in a certified class for which
+    no family is built (see the module docstring). The default cap of 12
+    keeps this bound below it."""
     cap = degree_cap()
     ct = classify(G)
     if ct.tag in (TYPE1, TYPE2):

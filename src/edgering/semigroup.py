@@ -249,16 +249,18 @@ def _normalization(G: Graph, D: int) -> tuple:
     size = sum(map(len, closed))
     try:
         _enumerate_by_inequalities(G, D, [c.remove for c in closed])
-    except KeyError:
-        pass
-    else:
-        if not any(closed):
-            return size, new
+        struck = None
+    except KeyError as miss:
+        struck = miss.args[0]
+    if struck is None and not any(closed):
+        return size, new
     del closed
     d, by_filter = G.dimension, _enumerate_by_inequalities(G, D)
     union = set().union(*_enumerate_by_closure(G, D))
+    # a point method A failed to strike that method B holds was found twice
     raise MethodMismatchError(_unpack_all(by_filter - union, d),
-                              _unpack_all(union - by_filter, d))
+                              _unpack_all(union - by_filter, d),
+                              _unpack(struck, d) if struck in union else None)
 
 
 def _semigroup_slabs(G: Graph, D: int) -> tuple:

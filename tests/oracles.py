@@ -520,36 +520,43 @@ def oracle_family_points(hf, normalization) -> frozenset:
 def certified_classes(G, hole_set) -> dict:
     """The certified classes through the holes: a map from (H, r) to the
     holes of the class r + L_F, keyed by the class's first hole r in sorted
-    order, for every supporting hyperplane H with H(r) in {0, 1}, where L_F
-    is the lattice of H's face.
+    order, for every supporting hyperplane H, where L_F is the lattice of
+    H's face.
 
     Every edge vector e has H(e) >= 0 and L_F lies in H = 0, so a semigroup
-    point y of the class has H(y) = H(r): at height 0 it is a sum of face
-    edges, in L_F; at height 1 one edge e with H(e) = 1 plus face edges, in
-    e + L_F. So the class holds no semigroup point at any degree iff no such
-    witness w (0, or each such e) has w - r in L_F, and only then is it
-    certified. Built from the holes, the hyperplanes, the edge vectors and
-    the face lattices alone: no cycle, shift or admissible set enters.
+    point y of the class has H(y) = H(r) = h: it is a sum of edges with
+    H(e) >= 1 whose H-values add to h, plus face edges. So the class holds
+    no semigroup point at any degree iff no such sum w has w - r in L_F,
+    and only then is it certified. Built from the holes, the hyperplanes,
+    the edge vectors and the face lattices alone: no cycle, shift or
+    admissible set enters.
     """
     zero, edges, ordered = (0,) * G.dimension, edge_vectors(G), sorted(hole_set)
     classes = {}
     for H in supporting_hyperplanes(G):
         lattice = face_of(G, H)
-        witnesses = {0: [zero], 1: [e for e in edges if H.value(e) == 1]}
+        sums = {0: {zero}}  # height -> the sums of edges of positive height
         reps = []  # (r, certified) per class met so far, in hole order
         for x in ordered:
-            height = H.value(x)
-            if height not in witnesses:
-                continue
             r, certified = next(((r, ok) for r, ok in reps
                                  if lattice.contains(_minus(x, r))), (x, None))
             if certified is None:
                 certified = not any(lattice.contains(_minus(w, x))
-                                    for w in witnesses[height])
+                                    for w in _height_sums(H, edges, H.value(x), sums))
                 reps.append((r, certified))
             if certified:
                 classes.setdefault((H, r), set()).add(x)
     return classes
+
+
+def _height_sums(H, edges, h, sums) -> set:
+    """The sums of edge vectors e with H(e) >= 1 whose H-values add to h,
+    memoized by height in `sums`, which starts as {0: {zero}}."""
+    if h not in sums:
+        sums[h] = {tuple(a + b for a, b in zip(e, s))
+                   for e in edges if 1 <= H.value(e) <= h
+                   for s in _height_sums(H, edges, h - H.value(e), sums)}
+    return sums[h]
 
 
 def _minus(a, b) -> list:

@@ -284,7 +284,7 @@ def test_analyze_refuses_bipartite_graph_before_writing(tmp_path, capsys, text):
 DECOMPOSITION_MISMATCH = DecompositionMismatchError(
     {"holes_not_covered": [[0] * 9], "family_points_not_holes": []}
 )
-METHOD_MISMATCH = MethodMismatchError({(0,) * 9}, ())
+METHOD_MISMATCH = MethodMismatchError({(0,) * 9}, (), None)
 
 
 @pytest.mark.parametrize("stage, error, code", [

@@ -1,12 +1,12 @@
 import pytest
 
 from edgering import (
-    ExceptionalPair,
     NotAnEdgeError,
     NotDiameterFourCactusError,
     PreconditionViolatedError,
     build_triangular_cactus,
     cycle_vector,
+    exceptional_families,
     exceptional_pairs,
     holes,
     is_exceptional,
@@ -26,6 +26,7 @@ from edgering.exceptional import (
     pair_sum_cases,
     require_diameter4_cactus,
 )
+from edgering.graph_core import cycles_json, cycles_vertex_set
 from edgering.semigroup import decompose
 
 
@@ -61,21 +62,21 @@ def test_is_exceptional_bridge(cac3):
 
 def test_is_exceptional_positive(t1min):
     (P,) = exceptional_pairs(t1min)
-    a, b = P.cycles()
+    a, b = P
     assert is_exceptional(t1min, a, b)
-    assert P.vertex_set == frozenset(
+    assert cycles_vertex_set(P) == frozenset(
         {"x1", "y1_1", "y1_2", "x3", "y3_1", "y3_2"}
     )
 
 
 def test_pair_canonical_order(t1min):
     (P,) = exceptional_pairs(t1min)
-    assert P.as_json() == [["x1", "y1_1", "y1_2"], ["x3", "y3_1", "y3_2"]]
+    assert cycles_json(P) == [["x1", "y1_1", "y1_2"], ["x3", "y3_1", "y3_2"]]
 
 
 def test_vectors(t1min):
     (P,) = exceptional_pairs(t1min)
-    a, _ = P.cycles()
+    a, _ = P
     va = cycle_vector(t1min, a)
     assert sum(va) == 3
     assert va[t1min.index("x1")] == 1
@@ -119,8 +120,8 @@ def test_pair_sum_bridged_rematch_is_member():
     # produces bridged (non-exceptional) pairings on both sides
     G = build_triangular_cactus(triangles=2, pendants=(1, 1, 1, 1))
     cycles = {min(c.vertex_set): c for c in minimal_odd_cycles(G)}
-    P = ExceptionalPair(cycles["x1"], cycles["x3"])
-    Q = ExceptionalPair(cycles["x2"], cycles["x4"])
+    P = (cycles["x1"], cycles["x3"])
+    Q = (cycles["x2"], cycles["x4"])
     assert lemma_pair_sum(G, P, Q) is True
     assert member(G, lemma_pair_sum_vector(G, P, Q)) is True
 
@@ -132,7 +133,7 @@ def test_pair_sum_requires_exceptional_inputs(t1min, cac3):
     pend_tri = next(
         c for c in minimal_odd_cycles(t1min) if c.vertex_set & {"x1"} and "w" not in c.vertex_set
     )
-    bad = ExceptionalPair(hub_tri, pend_tri)  # cycles share x1 or are bridged
+    bad = (hub_tri, pend_tri)  # cycles share x1 or are bridged
     with pytest.raises(PreconditionViolatedError):
         lemma_pair_sum(t1min, bad, bad)
     # and the class gate itself rejects graphs outside diameter 4
@@ -140,9 +141,23 @@ def test_pair_sum_requires_exceptional_inputs(t1min, cac3):
     with pytest.raises(NotDiameterFourCactusError):
         lemma_pair_sum(
             cac3,
-            ExceptionalPair(good_cycles[0], good_cycles[1]),
-            ExceptionalPair(good_cycles[0], good_cycles[1]),
+            (good_cycles[0], good_cycles[1]),
+            (good_cycles[0], good_cycles[1]),
         )
+
+
+def test_lemmas_refuse_anything_but_two_minimal_odd_cycles(cact4a):
+    # a pair is a 2-tuple of cycles: three cycles, or two things that are
+    # not cycles, are refused as a precondition, not by unpacking
+    P = exceptional_pairs(cact4a)[0]
+    (three,) = [f for f in exceptional_families(cact4a) if len(f) == 3]
+    for bad in (three, ("x1", "x3"), tuple(c.vertices for c in P)):
+        with pytest.raises(PreconditionViolatedError, match="two minimal odd cycles"):
+            lemma_pair_sum(cact4a, bad, P)
+        with pytest.raises(PreconditionViolatedError, match="two minimal odd cycles"):
+            lemma_edge_augment(cact4a, bad, ("w", "x1"))
+        with pytest.raises(PreconditionViolatedError, match="two minimal odd cycles"):
+            lemma_double_w_edge(cact4a, bad, "x7", "x8")
 
 
 # ------------------------------------------------------------ lemma: edge add

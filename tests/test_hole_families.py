@@ -15,11 +15,10 @@ from edgering import (
     DisconnectedError,
     EdgeRingError,
     EmptySetError,
-    ExceptionalFamily,
     Graph,
     NotDiameterFourCactusError,
     PreconditionViolatedError,
-    admissible_fundamental_sets,
+    admissible_facets,
     build_from_edges,
     build_triangular_cactus,
     classify,
@@ -30,6 +29,7 @@ from edgering import (
     exceptional_families,
     exceptional_pairs,
     face_of,
+    fundamental_sets,
     hole_decomposition,
     hole_families,
     holes,
@@ -44,7 +44,7 @@ from edgering import (
 )
 from edgering.cli import main
 from edgering.fixtures import load
-from edgering.graph_core import bits
+from edgering.graph_core import Cycle, bits, cycles_vertex_set
 from edgering.io import format_graph_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,25 +94,25 @@ def test_classify_sweep_laws(n):
 
 
 def test_exceptional_families_frozen(t1min, t2min, cact4a, cact4b, d13):
+    # a cycle set is a plain tuple of cycles; the two-cycle sets are the pairs
     f1 = exceptional_families(t1min)
-    assert [len(f.cycles) for f in f1] == [2]
-    assert f1[0].hub is None
+    assert f1 == exceptional_pairs(t1min) and [len(f) for f in f1] == [2]
     assert len(exceptional_families(t2min)) == 1
     # cact4a has three pendant triangles on distinct hub triangles, cact4b four
-    assert [len(f.cycles) for f in exceptional_families(cact4a)] == [2, 2, 2, 3]
+    assert [len(f) for f in exceptional_families(cact4a)] == [2, 2, 2, 3]
     f4b = exceptional_families(cact4b)
-    assert [len(f.cycles) for f in f4b] == [2] * 6 + [3] * 4 + [4]
-    assert [f.hub for f in f4b] == [None] * 6 + ["w"] * 4 + [None]
-    assert [len(f.cycles) for f in exceptional_families(d13)] == [2, 2, 2, 3]
+    assert [len(f) for f in f4b] == [2] * 6 + [3] * 4 + [4]
+    assert all(type(f) is tuple and all(type(c) is Cycle for c in f) for f in f4b)
+    assert [len(f) for f in exceptional_families(d13)] == [2, 2, 2, 3]
 
 
 def test_exceptional_families_cross_invariant(cact4b):
     from edgering import is_exceptional
 
     for fam in exceptional_families(cact4b):
-        for a, b in itertools.combinations(fam.cycles, 2):
+        for a, b in itertools.combinations(fam, 2):
             assert is_exceptional(cact4b, a, b)
-        assert fam.hub not in fam.vertex_set
+        assert "w" not in cycles_vertex_set(fam)
 
 
 def test_exceptional_families_shared_spoke_exclusion():
@@ -122,7 +122,7 @@ def test_exceptional_families_shared_spoke_exclusion():
     pairs = exceptional_pairs(G)
     assert len(pairs) == 2  # the two bridged pendant cycles pair only
     # with the third, so no set of three exists
-    assert [len(f.cycles) for f in exceptional_families(G)] == [2, 2]
+    assert [len(f) for f in exceptional_families(G)] == [2, 2]
 
 
 def test_cycle_sets_fit_in_the_hub_triangles(all_fixture_graphs, d13):
@@ -131,7 +131,7 @@ def test_cycle_sets_fit_in_the_hub_triangles(all_fixture_graphs, d13):
         ct = classify(G)
         if ct.tag == "NotDiameter4Cactus":
             continue
-        assert all(len(f.cycles) <= ct.triangles for f in exceptional_families(G))
+        assert all(len(f) <= ct.triangles for f in exceptional_families(G))
 
 
 def test_gate(friend3):
@@ -155,7 +155,7 @@ def test_q_vector_values(t1min, cact4b):
     assert sum(q) == 6
     assert member(t1min, q) is False
     for k, degree in ((3, 10), (4, 12)):
-        big = [f for f in exceptional_families(cact4b) if len(f.cycles) == k][0]
+        big = [f for f in exceptional_families(cact4b) if len(f) == k][0]
         q = q_vector(cact4b, big)
         assert sum(q) == degree
         assert q[cact4b.index("w")] == k % 2
@@ -164,57 +164,64 @@ def test_q_vector_values(t1min, cact4b):
 
 def test_q_vector_empty_family_rejected(t1min):
     with pytest.raises(EmptySetError):
-        q_vector(t1min, ExceptionalFamily(()))
+        q_vector(t1min, ())
 
 
-# ------------------------------------------------------------ admissible sets
+# ------------------------------------------------------------ admissible facets
 
 
 def test_admissible_sets_frozen(t1min, t2min):
+    # Type 1: the hub facet x_w >= 0 alone; Type 2: two fundamental sets
     (f1,) = exceptional_families(t1min)
-    assert admissible_fundamental_sets(t1min, f1) == ()
+    (hub_facet,) = admissible_facets(t1min, f1)
+    assert hub_facet.kind == "regular" and hub_facet.vertex == "w"
     (f2,) = exceptional_families(t2min)
-    got = [sorted(oracles.labels(t2min, h.minus)) for h in admissible_fundamental_sets(t2min, f2)]
+    got = [sorted(oracles.labels(t2min, h.minus)) for h in admissible_facets(t2min, f2)]
     assert got == [["x5"], ["x6"]]
 
 
-def test_admissible_sets_definition(t2min, cact4a):
-    for G in (t2min, cact4a):
-        hub = classify(G).hub
+def test_admissible_sets_definition(t1min, t2min, cact4a, cact4b):
+    # the fundamental sets T with the hub in N(T) and N[T] clear of the
+    # cycles, in fundamental_sets order, then the hub facet exactly on Type 1
+    for G in (t1min, t2min, cact4a, cact4b):
+        ct = classify(G)
+        hub_facets = [h for h in supporting_hyperplanes(G) if h.vertex == ct.hub]
+        assert len(hub_facets) == (ct.tag == "Type1")
         for fam in exceptional_families(G):
-            for h in admissible_fundamental_sets(G, fam):
-                T, N = oracles.labels(G, h.minus), oracles.labels(G, h.plus)
-                assert hub in N
-                closed = T | N
-                for c in fam.cycles:
-                    assert not closed & c.vertex_set
+            fundamental = [h for h in fundamental_sets(G)
+                           if ct.hub in oracles.labels(G, h.plus)
+                           and not oracles.labels(G, h.minus | h.plus) & cycles_vertex_set(fam)]
+            assert list(admissible_facets(G, fam)) == fundamental + hub_facets
 
 
 def test_admissibility_hereditary(cact4b):
     # a facet admissible for a cycle set is admissible for each pair in it
     singles = {
-        fam.cycles: set(admissible_fundamental_sets(cact4b, fam))
+        fam: set(admissible_facets(cact4b, fam))
         for fam in exceptional_families(cact4b)
-        if len(fam.cycles) == 2
+        if len(fam) == 2
     }
-    larger = [f for f in exceptional_families(cact4b) if len(f.cycles) > 2]
+    larger = [f for f in exceptional_families(cact4b) if len(f) > 2]
     assert larger
     for fam in larger:
-        for h in admissible_fundamental_sets(cact4b, fam):
-            for pair in itertools.combinations(fam.cycles, 2):
+        for h in admissible_facets(cact4b, fam):
+            for pair in itertools.combinations(fam, 2):
                 assert h in singles[pair]
 
 
 def test_family_facets_are_the_supporting_hyperplanes(t1min, t2min, cact4b):
     # a family's facet is one of the graph's hyperplane objects, no copy:
-    # a fundamental one is the very hyperplane admissible_fundamental_sets
-    # returns for its cycle set, and its face is face_of's lattice
+    # a cycle set's families hold the very hyperplanes admissible_facets
+    # returns for it, in its order, and each face is face_of's lattice
     for G in (t1min, t2min, cact4b):
         hyps = supporting_hyperplanes(G)
-        for hf in hole_decomposition(G):
+        families = hole_decomposition(G)
+        for fam in exceptional_families(G):
+            facets = [hf.facet for hf in families if hf.cycles is fam]
+            assert len(facets) == len(admissible_facets(G, fam))
+            assert all(f is h for f, h in zip(facets, admissible_facets(G, fam)))
+        for hf in families:
             assert any(hf.facet is h for h in hyps)
-            if hf.facet.kind == "fundamental":
-                assert any(hf.facet is h for h in admissible_fundamental_sets(G, hf.family))
             assert hf.face is face_of(G, hf.facet)
             assert hf.dimension == hf.face.rank
 
@@ -279,7 +286,7 @@ def test_odd_family_covers_the_missed_hole(d13):
     # the vertex order w, x1..x6, y1_1, y1_2, y3_1, y3_2, y5_1, y5_2
     v = (1, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1)
     assert d13.vertices[0] == "w" and v in holes(d13, 10)
-    odd = [hf for hf in hole_decomposition(d13) if hf.family.hub is not None]
+    odd = [hf for hf in hole_decomposition(d13) if len(hf.cycles) % 2]
     assert any(v in hf.points(d13, 10) for hf in odd)
 
 
@@ -544,7 +551,7 @@ def test_failed_certificate_is_loud(monkeypatch, tmp_path, capsys, odd):
     # H(e) = 1 (height 1, witness e). Filtering the holes would silently drop
     # the witness from the union, so reading the points must raise
     G = build_triangular_cactus(triangles=3, pendants=(1, 0, 1, 0, 1, 0))
-    hf = next(hf for hf in hole_decomposition(G) if (hf.family.hub is not None) == odd)
+    hf = next(hf for hf in hole_decomposition(G) if len(hf.cycles) % 2 == odd)
     face_edge = next(g for g in semigroup.generators(G) if hf.facet.value(g) == 0)
     if odd:
         witness = next(e for e in semigroup.generators(G) if hf.facet.value(e) == 1)
@@ -564,15 +571,35 @@ def test_failed_certificate_is_loud(monkeypatch, tmp_path, capsys, odd):
 
 
 def test_certificate_refuses_a_shift_at_another_height(monkeypatch):
-    # heights 0 and 1 are the only ones the certificate covers
+    # the certificate holds at any height: t1min's family moved by 2 e_w sits
+    # at height 2 on the hub facet, where the sums of two hub edges are the
+    # witnesses, and the first in edge order, w-x1 plus w-x3, is in the class
     G = build_triangular_cactus(triangles=2, pendants=(1, 0, 1, 0))
     (hf,) = hole_decomposition(G)
     w = G.index("w")
     shift = tuple(c + 2 * (j == w) for j, c in enumerate(hf.shift))
     bad = dataclasses.replace(hf, shift=shift)
+    assert bad.facet.value(shift) == 2
     monkeypatch.setattr(hole_families, "_families", lambda G: (bad,))
-    with pytest.raises(PreconditionViolatedError, match="height 0 or 1"):
+    with pytest.raises(DecompositionMismatchError) as info:
         bad.points(G, 8)
+    witness = [2, 1, 0, 1, 0, 0, 0, 0, 0]
+    assert info.value.report["family_points_not_holes"] == [witness]
+    assert member(G, witness)
+
+
+def test_witnesses_at_heights_0_1_and_2(t1min):
+    # {0} at height 0, the edges with H(e) = 1 at height 1, and at height 2
+    # the sums of two such edges, each once
+    (hf,) = hole_decomposition(t1min)
+    H, hub_edges = hf.facet, [e for e in semigroup.generators(t1min) if e[0] == 1]
+    assert hole_families._witnesses(t1min, H, 0) == ((0,) * 9,)
+    assert hole_families._witnesses(t1min, H, 1) == tuple(hub_edges)
+    assert set(hole_families._witnesses(t1min, H, 2)) == {
+        tuple(a + b for a, b in zip(e, f))
+        for e, f in itertools.combinations_with_replacement(hub_edges, 2)}
+    assert len(hole_families._witnesses(t1min, H, 2)) == 10
+    assert hole_families._witnesses(t1min, H, -1) == ()
 
 
 def test_cact4b_has_a_degree_14_hole_no_family_holds(cact4b):
@@ -588,6 +615,14 @@ def test_cact4b_has_a_degree_14_hole_no_family_holds(cact4b):
     assert len(families) == 113
     assert not [hf for hf in families
                 if hf.face.contains([a - b for a, b in zip(x, hf.shift)])]
+    # x's class on the hub facet certifies at height 2: none of its 36
+    # witnesses, the sums of two hub edges, lies in it
+    (four,) = [f for f in exceptional_families(cact4b) if len(f) == 4]
+    cls = hole_families.HoleFamily(x, hub_facet, four, face_of(cact4b, hub_facet))
+    witnesses = hole_families._witnesses(cact4b, hub_facet, 2)
+    assert len(witnesses) == 36
+    assert not [w for w in witnesses if hole_families._in_family(cls, w)]
+    assert hole_families._certify(cact4b, cls) == 2
 
 
 def test_family_refuses_a_graph_it_was_not_built_for(t1min, t2min, bowtie):

@@ -477,6 +477,7 @@ def test_method_mismatch_reports_tuple_vectors(monkeypatch, dropped_by):
         only_a, only_b = only_b, only_a
     assert err.value.only_first == only_a
     assert err.value.only_second == only_b
+    assert err.value.found_twice is None
 
     monkeypatch.setattr(acceptance, "SMALL_FIXTURES", ("t1min",))
     passed, details = acceptance.criterion_cross_check(build)
@@ -498,6 +499,7 @@ def test_method_mismatch_when_method_a_swaps_a_point_of_the_same_degree(monkeypa
         enumerate_normalization(G, 8)
     assert err.value.only_first == frozenset({stray})
     assert err.value.only_second == frozenset({q})
+    assert err.value.found_twice is None
 
 
 def test_method_mismatch_when_method_a_finds_a_point_twice(monkeypatch):
@@ -505,7 +507,8 @@ def test_method_mismatch_when_method_a_finds_a_point_twice(monkeypatch):
     # method B's slab of its degree does not
     G = build("t1min")
     N8 = enumerate_normalization(G, 8)
-    p = _pack(pair_vector(G, exceptional_pairs(G)[0]))
+    q = pair_vector(G, exceptional_pairs(G)[0])
+    p = _pack(q)
     monkeypatch.setattr(semigroup, "_enumerate_by_inequalities",
                         _method_a_editing(lambda n: (n,)))
     assert enumerate_normalization(build("t1min"), 8) == N8
@@ -513,8 +516,11 @@ def test_method_mismatch_when_method_a_finds_a_point_twice(monkeypatch):
                         _method_a_editing(lambda n: (n, n) if n == p else (n,)))
     with pytest.raises(MethodMismatchError) as err:
         enumerate_normalization(build("t1min"), 8)
-    # as sets the two methods agree, so neither names a point
+    # as sets the two methods agree, so neither difference names a point,
+    # but the error names the repeat
     assert err.value.only_first == err.value.only_second == frozenset()
+    assert err.value.found_twice == q
+    assert f"the inequality method found {q} twice" in str(err.value)
 
 
 def test_the_record_builds_no_second_copy_of_the_normalization():
@@ -534,8 +540,9 @@ def test_the_record_builds_no_second_copy_of_the_normalization():
 
 
 def test_method_mismatch_error_payload():
-    err = MethodMismatchError({(1, 0)}, {(0, 1)})
+    err = MethodMismatchError({(1, 0)}, {(0, 1)}, None)
     assert err.only_first == frozenset({(1, 0)})
     assert err.only_second == frozenset({(0, 1)})
+    assert err.found_twice is None
     msg = str(err)
-    assert "inequality" in msg and "closure" in msg
+    assert "inequality" in msg and "closure" in msg and "twice" not in msg
