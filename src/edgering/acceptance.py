@@ -148,6 +148,7 @@ def criterion_cross_check(G, name) -> tuple:
             "agree": False,
             "only_inequality_method": len(exc.only_first),
             "only_closure_method": len(exc.only_second),
+            "found_twice": None if exc.found_twice is None else list(exc.found_twice),
         }
 
 

@@ -204,13 +204,19 @@ def cone_contains(G: Graph, x: Sequence[int]) -> bool:
     x = check_vector(G, x)
     width = LANE_BITS * (sum(map(abs, x)).bit_length() // LANE_BITS + 1)
     columns, signs = _cone_columns(G, width)
+    return _lane_sum(columns, signs, x) & signs == signs
+
+
+def _lane_sum(columns: Sequence[int], signs: int, x: Sequence[int]) -> int:
+    # every supporting hyperplane's value on x, hyperplane h's biased in
+    # lane h: `signs` plus x's combination of `_cone_columns`' columns
     total = signs
     for c, column in zip(x, columns):
         if c == 1:  # most coordinates of a query are 0 or 1
             total += column
         elif c:
             total += c * column
-    return total & signs == signs
+    return total
 
 
 @per_graph

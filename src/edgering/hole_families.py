@@ -25,13 +25,15 @@ of C, and the hub facet x_w >= 0, which exists exactly on Type 1.
 Points. Every family point is a hole, at every degree: a lattice
 certificate per family (`_certify`), exact at any height of the shift on
 its facet, proves that the family holds no semigroup point, so its points
-are read from the holes. Only the other
-direction, that the families cover every hole, is checked, up to the
-truncation degree D. It is not proven: a sweep of every class with d <= 17
-and at most 3 pendants per spoke found the union equal to the holes at
-D = 10 (d <= 13 also at 12), with every family of dimension d - 1. It did
-not cover spokes with 4 or more pendants, or k = 5 (d >= 21, shift degree
-16).
+are read from the holes. A hole's heights on every supporting hyperplane
+are one lane sum (facets' `_cone_columns`), and a family's face lattice is
+tested only on the holes whose lane of its facet holds the shift's height.
+Only the other direction, that the families cover every hole, is checked,
+up to the truncation degree D. It is not proven: a sweep of every class
+with d <= 17 and at most 3 pendants per spoke found the union equal to the
+holes at D = 10 (d <= 13 also at 12), with every family of dimension d - 1.
+It did not cover spokes with 4 or more pendants, or k = 5 (d >= 21, shift
+degree 16).
 
 Coverage fails at degree 14. On cact4b (d = 17) the degree-14 hole
 2 e_w + the indicators of the four pendant triangles lies at height 2 on
@@ -46,6 +48,7 @@ test_cact4b_has_a_degree_14_hole_no_family_holds pins it.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 
@@ -151,10 +154,13 @@ def exceptional_families(G: Graph) -> tuple:
 
 
 def q_vector(G: Graph, cycles: tuple) -> tuple:
-    """The shift of k cycles: the indicator of their vertices, plus the hub
-    unit for odd k; degree 3k or 3k + 1 for k pendant triangles."""
-    if not cycles:
-        raise EmptySetError("a family needs at least two exceptional cycles")
+    """The shift of k >= 2 cycles: the indicator of their vertices, plus the
+    hub unit for odd k; degree 3k or 3k + 1 for k pendant triangles. Fewer
+    cycles are refused: EmptySetError for none, PreconditionViolatedError
+    for one."""
+    if len(cycles) < 2:
+        error = PreconditionViolatedError if cycles else EmptySetError
+        raise error("a family needs at least two exceptional cycles")
     hub = (require_diameter4_cactus(G),) if len(cycles) % 2 else ()
     return indicator(G, cycles_vertex_set(cycles).union(hub))
 
@@ -237,20 +243,32 @@ def _family_points(G: Graph, D: int) -> dict:
     # every family's points at degree D. Once its certificate shows that a
     # family holds no semigroup point, its points in N_D are exactly the
     # holes in it; the face lattice lies in the facet's hyperplane H = 0, so
-    # a hole can be in it only at the shift's height
-    hole_set = holes(G, D)
-    points = {}
+    # a hole can be in it only at the shift's height. A hole's heights on
+    # every supporting hyperplane are one lane sum, hyperplane h's biased in
+    # lane h (no larger in size than the hole's degree, at most 255, so no
+    # 16-bit lane carries), and only the families whose facet's lane holds
+    # their shift's height are tested against their face lattices
+    width = facets_mod.LANE_BITS
+    columns, signs = facets_mod._cone_columns(G, width)
+    lane_of = {h: width * i for i, h in enumerate(facets_mod.supporting_hyperplanes(G))}
+    by_lane = {}
     for hf in _families(G):
-        height = _certify(G, hf)
-        points[hf] = frozenset(
-            x for x in hole_set
-            if hf.facet.value(x) == height and _in_family(hf, x)
-        )
-    return points
+        at = lane_of[hf.facet]
+        mask = (1 << width) - 1 << at
+        by_lane.setdefault((mask, signs + (_certify(G, hf) << at) & mask), []).append(hf)
+    points = {hf: [] for hf in _families(G)}
+    for x in holes(G, D):
+        total = facets_mod._lane_sum(columns, signs, x)
+        for (mask, want), families in by_lane.items():
+            if total & mask == want:
+                for hf in families:
+                    if _in_family(hf, x):
+                        points[hf].append(x)
+    return {hf: frozenset(p) for hf, p in points.items()}
 
 
 def _in_family(hf: HoleFamily, x) -> bool:
-    return hf.face.contains([a - b for a, b in zip(x, hf.shift)])
+    return hf.face.contains(list(map(operator.sub, x, hf.shift)))
 
 
 def _certify(G: Graph, hf: HoleFamily) -> int:
@@ -373,10 +391,15 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
     to D: holes under a normality verdict make it inconclusive (None), never
     a confident True. Diameter-4 triangular cacti go through the family
     decomposition: verification must pass on every degree slab of the ladder
-    up to D, the slabs must agree, and every family must have dimension d-1;
-    a family of lower dimension would make the verdict inconclusive (None),
-    never a confident failure, and so would a D below every shift degree,
-    which compares no hole. Non-normal graphs outside the class are inconclusive.
+    up to D, in ascending order, the slabs must agree, and every family must
+    have dimension d-1; a family of lower dimension would make the verdict
+    inconclusive (None), never a confident failure, and so would a D below
+    every shift degree, which compares no hole. Non-normal graphs outside
+    the class are inconclusive.
+
+    The ladder enumerates once: the holes at D are asked for first, so each
+    lower rung's holes and |N_D'| are slices of that record, and a rung
+    below D re-runs only the family filter, on fewer holes.
     """
     if D is None:
         D = default_truncation(G)
@@ -403,6 +426,8 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
                 "hole_count_by_degree": count_by_degree(holes(G, D)),
             },
         }
+    # the top rung is enumerated first, so every lower rung reads its slice
+    holes(G, D)
     ladder = sorted({x for x in (6, 8, 10, 12) if x < D} | {D})
     reports = {str(Dk): verify_decomposition(G, Dk) for Dk in ladder}
     top = reports[str(D)]

@@ -517,6 +517,23 @@ def oracle_family_points(hf, normalization) -> frozenset:
     )
 
 
+def oracle_family_filter(G, hf, hole_set) -> frozenset:
+    """The family's points among `hole_set`, from the definition: the holes
+    x with H(x) = H(q), H the family's facet and q its shift, and x - q in
+    the lattice of H's face, spanned by the edge vectors H vanishes on. The
+    heights are dot products with the facet's coefficients and the lattice
+    is an `EchelonLattice`: no lane sum and no library lattice."""
+    H = hf.facet.coefficients
+
+    def height(x):
+        return sum(c * a for c, a in zip(H, x))
+
+    face = EchelonLattice.from_vectors(
+        G.dimension, [e for e in edge_vectors(G) if height(e) == 0])
+    return frozenset(x for x in hole_set if height(x) == height(hf.shift)
+                     and face.contains(_minus(x, hf.shift)))
+
+
 def certified_classes(G, hole_set) -> dict:
     """The certified classes through the holes: a map from (H, r) to the
     holes of the class r + L_F, keyed by the class's first hole r in sorted

@@ -18,6 +18,7 @@ from edgering import (
     Graph,
     NotDiameterFourCactusError,
     PreconditionViolatedError,
+    acceptance,
     admissible_facets,
     build_from_edges,
     build_triangular_cactus,
@@ -43,7 +44,7 @@ from edgering import (
     verify_decomposition,
 )
 from edgering.cli import main
-from edgering.fixtures import load
+from edgering.fixtures import build, load
 from edgering.graph_core import Cycle, bits, cycles_vertex_set
 from edgering.io import format_graph_text
 
@@ -165,6 +166,16 @@ def test_q_vector_values(t1min, cact4b):
 def test_q_vector_empty_family_rejected(t1min):
     with pytest.raises(EmptySetError):
         q_vector(t1min, ())
+
+
+def test_q_vector_one_cycle_rejected(t1min):
+    # one pendant triangle is no family: its indicator plus e_w would
+    # otherwise pass for a shift
+    (pair,) = exceptional_families(t1min)
+    for cycle in pair:
+        with pytest.raises(PreconditionViolatedError,
+                           match="at least two exceptional cycles"):
+            q_vector(t1min, (cycle,))
 
 
 # ------------------------------------------------------------ admissible facets
@@ -459,6 +470,49 @@ def test_no_enumeration_intermediate_outlives_a_verdict():
     assert freed < 0.5 * 2**20
 
 
+@pytest.mark.parametrize("name", ["t1min", "t2min", "cact4a"])
+def test_the_ladder_enumerates_once(monkeypatch, name):
+    # the top rung is enumerated and every lower rung reads its slice
+    calls = []
+    method = semigroup._enumerate_by_inequalities
+
+    def counted(G, D, *rest):
+        calls.append(D)
+        return method(G, D, *rest)
+
+    monkeypatch.setattr(semigroup, "_enumerate_by_inequalities", counted)
+    verdict = s2_verdict(build(name), 12)
+    assert verdict["evidence"]["ladder"] == [6, 8, 10, 12]
+    assert verdict["s2"] is True
+    assert calls == [12]
+
+
+_LADDERS = [(name, top) for name, (_, _, top) in acceptance.MAIN_THEOREM_FIXTURES.items()]
+_LADDERS += [("t1min", 9), ("d13", 9)]
+
+
+@pytest.mark.parametrize("name, top", _LADDERS, ids=[f"{n}-{D}" for n, D in _LADDERS])
+def test_ladder_rungs_equal_their_own_enumerations(name, top):
+    # a rung below the top is a slice of the top rung's record; it must
+    # equal what a separate copy of the graph enumerated at that rung alone
+    # gives, holes and |N_D| both
+    G = _built(name)
+    verdict = s2_verdict(G, top)
+    assert verdict["s2"] is True
+    ladder = verdict["evidence"]["ladder"]
+    assert ladder == [D for D in (6, 8, 10, 12) if D < top] + [top]
+    for Dk in ladder:
+        alone = _built(name)
+        assert holes(G, Dk) == holes(alone, Dk)
+        assert semigroup._enumeration(G, Dk)[0] == semigroup._enumeration(alone, Dk)[0]
+
+
+def _built(name):
+    if name == "d13":
+        return build_triangular_cactus(triangles=3, pendants=(1, 0, 1, 0, 1, 0))
+    return build(name)
+
+
 def test_results_are_freed_with_the_graph(t1min):
     tag = "_freed_with_graph"
     G = Graph([f"{v}{tag}" for v in t1min.vertices],
@@ -530,6 +584,17 @@ def test_certified_classes_cover_the_holes_and_are_the_families(request, name, c
     assert [len(m) for m in matches] == [1] * len(families)
     assert {m[0] for m in matches} == set(found)
     assert len(found) == len(families) == classes
+
+
+@pytest.mark.parametrize("name", ["t1min", "t2min", "d13", "cact4a"])
+def test_family_points_match_the_definitional_filter(request, name):
+    # the library reads a hole's heights off one lane sum; the oracle
+    # evaluates the facet on the hole and tests x - shift in an echelon
+    # lattice of the face's edges
+    G = request.getfixturevalue(name)
+    hole_set = holes(G, 10)
+    for hf in hole_decomposition(G):
+        assert hf.points(G, 10) == oracles.oracle_family_filter(G, hf, hole_set)
 
 
 @pytest.mark.parametrize("name, D", [("t1min", 10), ("t2min", 10), ("d13", 10),

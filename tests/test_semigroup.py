@@ -484,7 +484,8 @@ def test_method_mismatch_reports_tuple_vectors(monkeypatch, dropped_by):
     assert passed is False
     assert details == {"t1min": {"agree": False,
                                  "only_inequality_method": len(only_a),
-                                 "only_closure_method": len(only_b)}}
+                                 "only_closure_method": len(only_b),
+                                 "found_twice": None}}
 
 
 def test_method_mismatch_when_method_a_swaps_a_point_of_the_same_degree(monkeypatch):
@@ -521,6 +522,21 @@ def test_method_mismatch_when_method_a_finds_a_point_twice(monkeypatch):
     assert err.value.only_first == err.value.only_second == frozenset()
     assert err.value.found_twice == q
     assert f"the inequality method found {q} twice" in str(err.value)
+
+
+def test_cross_check_names_a_point_found_twice(monkeypatch):
+    # the two differences are empty, so only `found_twice` tells a repeat
+    # from an agreement in the criterion's entry
+    q = pair_vector(load("t1min"), exceptional_pairs(load("t1min"))[0])
+    monkeypatch.setattr(semigroup, "_enumerate_by_inequalities", _method_a_editing(
+        lambda n: (n, n) if n == _pack(q) else (n,)))
+    monkeypatch.setattr(acceptance, "SMALL_FIXTURES", ("t1min",))
+    passed, details = acceptance.criterion_cross_check(build)
+    assert passed is False
+    assert details == {"t1min": {"agree": False,
+                                 "only_inequality_method": 0,
+                                 "only_closure_method": 0,
+                                 "found_twice": list(q)}}
 
 
 def test_the_record_builds_no_second_copy_of_the_normalization():
