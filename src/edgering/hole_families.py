@@ -212,6 +212,14 @@ class HoleFamily:
 
     def as_json(self, G: Graph, D: int | None = None) -> dict:
         self._require_built_for(G)
+        out = self._json(G)
+        if D is not None:
+            out["points_by_degree"] = count_by_degree(self.points(G, D))
+        return out
+
+    def _json(self, G: Graph) -> dict:
+        # the family alone, for G unchecked: a failed certificate reports
+        # families that G's own decomposition may not hold
         out = {
             "shift": list(self.shift),
             "shift_degree": vector_degree(self.shift),
@@ -223,8 +231,6 @@ class HoleFamily:
         out.update({"pairs": [cycles]} if len(cycles) == 2 else {"cycles": cycles})
         if len(cycles) % 2:
             out["hub"] = str(require_diameter4_cactus(G))
-        if D is not None:
-            out["points_by_degree"] = count_by_degree(self.points(G, D))
         return out
 
     def _require_built_for(self, G: Graph) -> None:
@@ -287,7 +293,7 @@ def _certify(G: Graph, hf: HoleFamily) -> int:
     for w in _witnesses(G, hf.facet, height):
         if _in_family(hf, w):
             raise DecompositionMismatchError({
-                "family": hf.as_json(G),
+                "family": hf._json(G),
                 "holes_not_covered": [],
                 "family_points_not_holes": [list(w)],
                 "passed": False,

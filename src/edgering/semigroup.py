@@ -5,7 +5,10 @@ its normalization N, and the holes N - S (no oracle).
 Vectors are tuples of ints indexed by the graph's vertex order. The
 semigroup is generated by one degree-2 vector per edge (the sum of the two
 endpoint units). The enumerations and the oracle pack each vector into one
-int, a lane per coordinate, and unpack only the results they hand out. One
+int, a lane per coordinate, and unpack only the results they hand out; the
+enumerations put coordinate i in lane i, the oracle puts its vertices in a
+smallest-last order, so the vertex its search eliminates next has at most
+the graph's degeneracy many neighbours left to pair with. One
 record per (G, D) keeps |N_D|, its slab sizes and the holes, and a degree
 below the deepest record a graph holds is that record's slice, not a second
 enumeration. N_D and S_D are temporaries, S_D built once, as degree slabs
@@ -37,6 +40,7 @@ from .facets import (
 from .graph_core import (
     Graph,
     _pack,
+    bits,
     check_vector,
     exceptional_pairs,
     generators,
@@ -85,21 +89,27 @@ def lattice_member(G: Graph, x: Sequence[int]) -> bool:
 def _memo(G: Graph) -> dict:
     # lane width -> {packed residual: the edge number its first witness
     # takes first, or -1 when it is no member}; subproblems depend only on
-    # the residual, so one table per graph and width is sound, and widths
-    # stay apart because one int packs different vectors at different widths
+    # the residual, and every residual of a graph is packed in its one
+    # elimination order, so one table per graph and width is sound, and
+    # widths stay apart because one int packs different vectors at
+    # different widths
     return {}
 
 
 def member(G: Graph, x: Sequence[int]) -> bool:
     """True iff x is a nonnegative integer combination of edge generators.
 
-    Exhaustive backtracking on the least-index positive coordinate, memoized
-    on the residual. This is the reference oracle every closed-form result
-    in the package is checked against, so it stays definitional: no parity
-    or cone shortcuts. The residual is one int with a lane per coordinate,
-    as wide as the smallest multiple of 8 bits that holds max(x), so a step
-    is one subtraction; the search keeps its own stack, so it answers at
-    any degree.
+    Exhaustive backtracking, memoized on the residual: the search eliminates
+    the positive vertex that comes first in a smallest-last order of the
+    graph (Matula-Beck: each next vertex has least degree among those left,
+    ties by index) by pairing it with each positive later neighbour in turn,
+    so it branches on at most the graph's degeneracy many edges per step,
+    2 on a triangular cactus. This is the reference oracle every closed-form
+    result in the package is checked against, so it stays definitional: no
+    parity or cone shortcuts. The residual is one int with a lane per
+    vertex, in that order, as wide as the smallest multiple of 8 bits that
+    holds max(x), so a step is one subtraction; the search keeps its own
+    stack, so it answers at any degree.
     """
     return _witness(G, x) is not None
 
@@ -121,9 +131,10 @@ def _witness(G: Graph, x: Sequence[int]):
     if min(x) < 0:
         return None
     width = 8 * ((max(x).bit_length() + 7) // 8 or 1)
-    gens, steps = _packed_generators(G, width)
+    order = _elimination_order(G)
+    gens, steps = _packed_generators(G, width, order)
     memo = _memo(G).setdefault(width, {})
-    r = _pack(x, width)
+    r = _pack([x[i] for i in order], width)
     if not _decompose(steps, width, r, memo):
         return None
     witness = []
@@ -134,25 +145,40 @@ def _witness(G: Graph, x: Sequence[int]):
 
 
 @per_graph
-def _packed_generators(G: Graph, width: int) -> tuple:
-    # the generators packed in `width`-bit lanes, by edge number, and the
-    # search's steps: entry i lists (edge number, generator, lane mask of j)
-    # for the edges (i, j), j > i, in edge order, so neighbours ascending
+def _elimination_order(G: Graph) -> tuple:
+    # the vertex indices smallest-last: each next one has the fewest
+    # neighbours among those not yet taken, the least index on a tie, so
+    # none has more later neighbours than the graph's degeneracy
+    adj, left, order = G.neighbor_masks, (1 << G.dimension) - 1, []
+    while left:
+        order.append(min(bits(left), key=lambda i: (adj[i] & left).bit_count()))
+        left ^= 1 << order[-1]
+    return tuple(order)
+
+
+@per_graph
+def _packed_generators(G: Graph, width: int, order: tuple) -> tuple:
+    # the generators packed in `width`-bit lanes, vertex order[p] in lane p,
+    # by edge number, and the search's steps: entry p lists (edge number,
+    # generator, lane mask of q) for the edges between lane p and a later
+    # lane q, in edge order, so neighbours by ascending index
     lane = (1 << width) - 1
-    gens = tuple(_pack(g, width) for g in generators(G))
-    steps = [[] for _ in G.vertices]
+    at = {i: p for p, i in enumerate(order)}
+    gens, steps = [], [[] for _ in order]
     for k, (u, v) in enumerate(G.edges):
-        steps[G.index(u)].append((k, gens[k], lane << width * G.index(v)))
-    return gens, tuple(map(tuple, steps))
+        p, q = sorted((at[G.index(u)], at[G.index(v)]))
+        gens.append(1 << width * p | 1 << width * q)
+        steps[p].append((k, gens[k], lane << width * q))
+    return tuple(gens), tuple(map(tuple, steps))
 
 
 def _decompose(steps: Sequence[tuple], width: int, r: int, memo: dict) -> bool:
     # True iff the packed residual r is a sum of generators. The search pairs
-    # the least-index positive coordinate i with each neighbour j > i that
-    # is positive, in edge order, and the first success wins. Its stack holds
-    # [residual, its options left, the edge it is trying]; a success settles
-    # every residual on it to its pending edge, a failure settles the top one
-    # to -1 and its parent moves on to its next option
+    # the positive vertex of least lane p with each neighbour in a later lane
+    # that is positive, in edge order, and the first success wins. Its stack
+    # holds [residual, its options left, the edge it is trying]; a success
+    # settles every residual on it to its pending edge, a failure settles the
+    # top one to -1 and its parent moves on to its next option
     stack = []
     while True:
         if r and r not in memo:
@@ -289,7 +315,8 @@ def _semigroup_slabs(G: Graph, D: int) -> tuple:
     # slab j + 1's points of least positive coordinate i are the edges (i, k),
     # k > i, added to slab j's points with no positive coordinate below i
     # (drop the edge that covers i); tiers[i] holds slab j's points of least i
-    gens = [[g for _, g, _ in step] for step in _packed_generators(G, 8)[1]]
+    steps = _packed_generators(G, 8, tuple(range(G.dimension)))[1]
+    gens = [[g for _, g, _ in step] for step in steps]
     slabs, tiers, pool = [{0}], [()] * G.dimension, [0]
     for _ in range(D // 2):
         for i in reversed(range(G.dimension)):

@@ -394,15 +394,32 @@ def oracle_member(G, x) -> bool:
     return False
 
 
+def oracle_smallest_last(G) -> list:
+    """The vertex labels smallest-last (Matula-Beck): each next one has the
+    fewest neighbours among those not yet taken, the first in vertex order
+    on a tie. Written on labels and the raw edge list."""
+    adjacent = {v: set() for v in G.vertices}
+    for u, v in G.edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    left, order = list(G.vertices), []
+    while left:
+        v = min(left, key=lambda u: len(adjacent[u].intersection(left)))
+        order.append(v)
+        left.remove(v)
+    return order
+
+
 def oracle_first_witness(G, x):
     """The first witness of the definitional depth-first search, or None:
-    pair the least-index positive vertex with each of its neighbours in
-    vertex order and recurse on the rest. Edges come as label pairs in
-    canonical order, in the order the search takes them. Written on labels
-    and the raw edge list, with no memo, so only for small degrees."""
+    pair the positive vertex that comes first in the smallest-last order
+    with each of its neighbours in vertex order and recurse on the rest.
+    Edges come as label pairs in canonical order, in the order the search
+    takes them. Written on labels and the raw edge list, with no memo, so
+    only for small degrees."""
     if any(c < 0 for c in x):
         return None
-    positive = [v for v, c in zip(G.vertices, x) if c > 0]
+    positive = [v for v in oracle_smallest_last(G) if x[G.index(v)] > 0]
     if not positive:
         return []
     v = positive[0]

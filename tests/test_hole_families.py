@@ -690,6 +690,32 @@ def test_cact4b_has_a_degree_14_hole_no_family_holds(cact4b):
     assert hole_families._certify(cact4b, cls) == 2
 
 
+def test_certify_names_the_witness_of_a_class_no_family_holds(cact4b):
+    # 1_C + h e_w on the hub facet, C the four pendant triangles, is no
+    # family of cact4b. At h = 2 no sum of two hub edges lies in the class,
+    # so it certifies; at h = 4 the four hub edges to the pendants' spokes
+    # do, and the failure report still names that witness and the class
+    (hub_facet,) = [h for h in supporting_hyperplanes(cact4b) if h.vertex == "w"]
+    (four,) = [f for f in exceptional_families(cact4b) if len(f) == 4]
+    on = cycles_vertex_set(four)
+
+    def cls(h):
+        shift = tuple(h if v == "w" else int(v in on) for v in cact4b.vertices)
+        return hole_families.HoleFamily(shift, hub_facet, four,
+                                        face_of(cact4b, hub_facet))
+
+    assert hole_families._certify(cact4b, cls(2)) == 2
+    with pytest.raises(DecompositionMismatchError) as info:
+        hole_families._certify(cact4b, cls(4))
+    witness = [4, 1, 0, 1, 0, 1, 0, 1, 0] + [0] * 8
+    report = info.value.report
+    assert report["family_points_not_holes"] == [witness]
+    assert report["family"]["shift"] == list(cls(4).shift)
+    assert report["family"]["facet"] == {"kind": "regular", "vertex": "w"}
+    assert semigroup.decompose(cact4b, witness) == tuple(
+        ("w", f"x{i}") for i in (1, 3, 5, 7))
+
+
 def test_family_refuses_a_graph_it_was_not_built_for(t1min, t2min, bowtie):
     (hf,) = hole_decomposition(t1min)
     equal = build_triangular_cactus(triangles=2, pendants=(1, 0, 1, 0))

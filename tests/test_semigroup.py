@@ -1,5 +1,6 @@
 import gc
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 
 import oracles
 from edgering import (
+    CactusSpec,
     EdgeRingError,
     Graph,
     IntegerLattice,
@@ -20,6 +22,7 @@ from edgering import (
     enumerate_normalization,
     enumerate_semigroup,
     exceptional_pairs,
+    hole_decomposition,
     hole_report,
     holes,
     lattice_member,
@@ -32,7 +35,7 @@ from edgering import (
 from edgering import semigroup
 from edgering.facets import LANE_BITS, _lanes, _sign_bits
 from edgering.fixtures import build, load
-from edgering.graph_core import _pack
+from edgering.graph_core import _pack, bits, is_triangular_cactus
 from edgering.semigroup import (
     _enumerate_by_inequalities,
     _unpack,
@@ -93,8 +96,8 @@ def test_member_matches_multiset_oracle_on_random_vectors(bowtie, t1min):
 def test_decompose_returns_the_first_witness_of_the_search(triangle, bowtie, t1min,
                                                            t2min, cact4b):
     # the memoized packed walk finds the same witness as the plain search on
-    # labels: least-index positive vertex first, neighbours in index order;
-    # every semigroup point of degree <= 8 adds witnesses to check, the
+    # labels: the positive vertex first in the smallest-last order first,
+    # its neighbours in index order; every semigroup point of degree <= 8 adds witnesses to check, the
     # triangle's vectors sit at the 8-bit lane width's edge, and cact4b
     # (d = 17) is the class of the benchmark's point queries
     rng = random.Random(31)
@@ -126,13 +129,61 @@ def test_member_answers_at_any_degree(triangle):
 
 
 def test_member_memo_is_kept_apart_per_lane_width():
-    # at 8-bit lanes (0, 0, 1, 1) packs to 1 << 16 | 1 << 24, and so does
-    # (0, 257, 0, 0) at 16-bit lanes; a shared memo would answer the second
-    # from the first's entry
-    G = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
-    assert decompose(G, (0, 0, 1, 1)) == (("c", "d"),)
-    assert decompose(G, (0, 257, 0, 0)) is None
-    assert member(G, (0, 257, 0, 0)) is False
+    # the search packs d (one neighbour) in lane 0 and a (first of three
+    # tied at two) in lane 1, so at 8-bit lanes (1, 0, 0, 1) packs to
+    # 1 | 1 << 8, and so does (0, 0, 0, 257) at 16-bit lanes; a shared memo
+    # would answer the second from the first's entry
+    G = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d")])
+    assert semigroup._elimination_order(G)[:2] == (3, 0)
+    assert decompose(G, (1, 0, 0, 1)) == (("a", "d"),)
+    assert decompose(G, (0, 0, 0, 257)) is None
+    assert member(G, (0, 0, 0, 257)) is False
+
+
+def _brute_degeneracy(G) -> int:
+    # the largest least degree of any induced subgraph, over every subset
+    adj = G.neighbor_masks
+    return max(min((adj[i] & S).bit_count() for i in bits(S))
+               for S in range(1, 1 << G.dimension))
+
+
+def test_member_eliminates_vertices_smallest_last(all_fixture_graphs):
+    # the search's lane order is the smallest-last order on labels, so no
+    # vertex has more later neighbours than the degeneracy: exactly the
+    # degeneracy where subsets are few enough to count it, at most 2 on
+    # every triangular cactus, the d = 21 query cactus among them
+    graphs = {**all_fixture_graphs, "K5": K5, "W7": W7, "Petersen": PETERSEN,
+              "d21": CactusSpec(5, (1, 0) * 5).build()}
+    for name, G in graphs.items():
+        order = semigroup._elimination_order(G)
+        assert [G.vertices[i] for i in order] == oracles.oracle_smallest_last(G), name
+        taken, later = 0, 0
+        for i in order:
+            taken |= 1 << i
+            later = max(later, (G.neighbor_masks[i] & ~taken).bit_count())
+        if G.dimension <= 15:
+            assert later == _brute_degeneracy(G), name
+        if is_triangular_cactus(G):
+            assert later <= 2, name
+
+
+def test_member_memo_stays_small_on_family_holes():
+    # 60 of cact4b's family holes, each pushed along its face to degree 30
+    # by random face edges, and each plus one edge off its face: a count of
+    # memo entries, not a timing. The smallest-last search fills 4,698; the
+    # least-index search, which branches on the hub's 8 edges, filled 52,414
+    G = CactusSpec(4, (1, 0) * 4).build()
+    rng = random.Random(7)
+    gens = semigroup.generators(G)
+    for hf in hole_decomposition(G)[:60]:
+        face = [e for e in gens if hf.facet.value(e) == 0]
+        off = next(e for e in gens if hf.facet.value(e) > 0)
+        x = hf.shift
+        while sum(x) < 30:
+            x = tuple(map(operator.add, x, rng.choice(face)))
+        assert member(G, x) is False, x
+        member(G, tuple(map(operator.add, x, off)))
+    assert sum(map(len, semigroup._memo(G).values())) < 10_000
 
 
 def test_member_stays_definitional_on_holes(t1min):
