@@ -182,9 +182,11 @@ def check_vector(G: Graph, x: Sequence[int]) -> tuple:
 def _pack(x: Sequence[int], width: int = 8) -> int:
     """x with coordinate i in lane i of `width` bits, a multiple of 8."""
     try:
+        if width == 8:  # one byte a lane: bytes() packs it in one call
+            return int.from_bytes(bytes(x), "little")
         return int.from_bytes(
             b"".join([c.to_bytes(width // 8, "little") for c in x]), "little")
-    except OverflowError:
+    except (OverflowError, ValueError):
         raise EdgeRingError(
             f"cannot pack {tuple(x)}: {width}-bit lanes hold coordinates "
             f"0..{(1 << width) - 1}"

@@ -337,15 +337,19 @@ def _families(G: Graph) -> tuple:
 def verify_decomposition(G: Graph, D: int) -> dict:
     """Check that the enumerated holes up to degree D equal the union of
     the predicted families' truncated points. Returns the evidence report;
-    raises DecompositionMismatchError when the sets differ."""
+    raises DecompositionMismatchError when the sets differ. The report is
+    built once per (G, D) and shared with s2_verdict's evidence, so it is
+    read-only: a caller that edits it must copy it first."""
     report = _report(G, D)
     if not report["passed"]:
         raise DecompositionMismatchError(report)
     return report
 
 
+@per_graph
 def _report(G: Graph, D: int) -> dict:
-    # verify_decomposition's report, passed or not
+    # verify_decomposition's report, passed or not, cached on G: `analyze`
+    # asks for it and then s2_verdict reads it at the same degree
     families = hole_decomposition(G)
     hole_set = holes(G, D)
     union = frozenset().union(*(hf.points(G, D) for hf in families))

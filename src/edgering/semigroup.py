@@ -20,10 +20,20 @@ under adding the cycle-pair vectors (Ohsugi-Hibi), and the points it adds
 are the holes. B runs first, and A strikes each point it finds off B's
 slab of that degree, so N_D is held once: the methods agree when no point
 is missing from its slab or found twice, and no slab keeps a point.
+
+A walks its columns in a per-graph order with the twin classes first, the
+true twins (N[u] = N[v]: a pendant triangle's two outer vertices, a hub
+triangle's two spokes when neither has pendants) and then the false twins
+(N(u) = N(v)). Permuting a class is an automorphism, so it maps the cone
+onto itself and fixes every later column: A keeps only the prefixes whose
+values do not increase within each class, walks each one's suffix once,
+and strikes every distinct image of each leaf. It still finds every point
+of N_D once, in about a quarter of the frames on the four-triangle cacti.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -325,6 +335,38 @@ def _require_parity_lattice(G: Graph) -> None:
         )
 
 
+@per_graph
+def _twin_classes(G: Graph) -> tuple:
+    """The true twin classes (N[u] = N[v]), then the false twin classes
+    (N(u) = N(v)), each of two or more vertex indices, ascending, and each
+    kind ordered by least index. A vertex with a true twin has no false
+    one, so the classes are disjoint. Swapping two members u and v of a
+    class maps the edge set onto itself by the definition: a third vertex
+    is adjacent to u exactly when it is adjacent to v, and the edge uv, if
+    any, is fixed. So every permutation of a class is an automorphism."""
+    classes = []
+    for closed in (1, 0):
+        by_neighbourhood: dict = {}
+        for i, mask in enumerate(G.neighbor_masks):
+            by_neighbourhood.setdefault(mask | closed << i, []).append(i)
+        classes += [tuple(c) for c in by_neighbourhood.values() if len(c) > 1]
+    return tuple(classes)
+
+
+@per_graph
+def _walk_order(G: Graph) -> tuple:
+    # method A's twin classes and its column order: the classes' vertices
+    # first, then the others in vertex order. The penultimate column closes
+    # the last one, so at least two columns stay outside the classes: the
+    # last classes lose members, and a class left with one goes
+    classes = list(_twin_classes(G))
+    while (excess := sum(map(len, classes)) - (G.dimension - 2)) > 0:
+        if len(kept := classes.pop()[:-excess]) > 1:
+            classes.append(kept)
+    twinned = [i for c in classes for i in c]
+    return tuple(classes), (*twinned, *sorted(set(range(G.dimension)) - set(twinned)))
+
+
 def _enumerate_by_inequalities(G: Graph, D: int, sinks=None) -> frozenset | None:
     # N_D packed, or None with each point handed to sinks[degree // 2]
     _check_degree(D)
@@ -332,6 +374,7 @@ def _enumerate_by_inequalities(G: Graph, D: int, sinks=None) -> frozenset | None
     hyps = [h for h in supporting_hyperplanes(G) if h.kind == "fundamental"]
     _require_parity_lattice(G)
     n = len(hyps)
+    classes, order = _walk_order(G)
     # Lane h holds f_h, hyperplane h's value on the walked prefix; lane n + h
     # holds f_h + L, with L the degree still free. Both are >= 0 at every
     # point of the cone that extends the prefix: f_h + L once h has a +1
@@ -344,19 +387,31 @@ def _enumerate_by_inequalities(G: Graph, D: int, sinks=None) -> frozenset | None
     #            goes on up to them.
     # In the last column no hyperplane has a later +1, so `keep` and `reach`
     # together cover every f_h: a leaf is checked against every fundamental
-    # hyperplane. Column k's step is read off the +1 and -1 masks, each
-    # hyperplane's in lanes h and n + h, less 1 in every f_h + L lane
+    # hyperplane. Column k walks vertex order[k]; its step is read off the
+    # +1 and -1 masks, each hyperplane's in lanes h and n + h, less 1 in
+    # every f_h + L lane
     plus = _bit_columns([h.plus for h in hyps] * 2, d, LANE_BITS)
     minus = _bit_columns([h.minus for h in hyps] * 2, d, LANE_BITS)
     upper = _pack([0] * n + [1] * n, LANE_BITS)
+    # bit k of later[h]: h has a +1 in column k
+    later = [sum(1 << k for k, i in enumerate(order) if h.plus >> i & 1) for h in hyps]
     table = []
-    for k in range(d):
-        # h.plus >> k: 0 with no +1 from column k on, 1 with its last +1 in k
-        top = [h.plus >> k for h in hyps]
+    for k, i in enumerate(order):
+        # later[h] >> k: 0 with no +1 from column k on, 1 with its last +1 in k
+        top = [m >> k for m in later]
         keep = _sign_bits([h for h in range(n) if not top[h]]
                           + [n + h for h in range(n) if top[h] > 1])
         reach = _sign_bits([h for h in range(n) if top[h] == 1])
-        table.append((plus[k] - minus[k] - upper, keep, reach, 1 << 8 * k))
+        table.append((plus[i] - minus[i] - upper, keep, reach, 1 << 8 * i))
+    # the twin classes' columns come first. A class's last column, where
+    # its values are all set, holds the class, the mask of its lanes in a
+    # packed point, and a table from those lanes to the class's moves
+    ends, k = {}, -1
+    for c in classes:
+        k += len(c)
+        ends[k] = (c, sum(255 << 8 * i for i in c), {})
+    heads = [row + (ends.get(j),) for j, row in enumerate(table[:k + 1])]
+    del table[:k + 1]
     # the penultimate column closes the last one in its own loop, so the
     # last column also carries its two-unit step
     step, keep, reach, unit = table.pop()
@@ -364,11 +419,98 @@ def _enumerate_by_inequalities(G: Graph, D: int, sinks=None) -> frozenset | None
     found: list[int] = []
     if D >= 0:
         by_half = [found.append] * (D // 2 + 1) if sinks is None else sinks
-        # tails[rest]: the sinks of the degrees from D - rest up to D
-        tails = [by_half[(D - rest + 1) >> 1:] for rest in range(D + 1)]
-        walk = (table, len(table) - 1, last, tails, D)
-        _lane_walk(0, _lanes([0] * n + [D] * n), D, 0, walk)
+        walk = (table, len(table) - 1, last, _tails(by_half, D), D)
+        lanes = _lanes([0] * n + [D] * n)
+        if heads:
+            # current[0]: the deltas of the prefix whose suffix is walked
+            current = [(0,)]
+            imaged = [_image_sink(sink, current) for sink in by_half]
+            twins = (heads, current, walk, walk[:3] + (_tails(imaged, D), D))
+            _twin_walk(0, lanes, D, 0, D, (0,), twins)
+        else:
+            _lane_walk(0, lanes, D, 0, walk)
     return frozenset(found) if sinks is None else None
+
+
+def _tails(by_half: list, D: int) -> list:
+    # tails[rest]: the sinks of the degrees from D - rest up to D
+    return [by_half[(D - rest + 1) >> 1:] for rest in range(D + 1)]
+
+
+def _twin_walk(k: int, lanes: int, left: int, packed: int, cap: int,
+               deltas: tuple, twins: tuple) -> None:
+    # a twin class's column of method A: x[k] runs from 0 while the `keep`
+    # lanes hold, up to cap, the value of the class's previous column, so
+    # each class's values do not increase along the walk. A twin swap fixes
+    # every later column and maps the cone onto itself, so the suffix of
+    # such a prefix is walked once, and each of its leaves reaches the sinks
+    # as every distinct image: the leaf plus each of `deltas`, the packed
+    # differences the class permutations make to the prefix
+    heads, current, walk, imaged = twins
+    step, keep, reach, unit, ends = heads[k]
+    cap = min(cap, left)
+    v = 0
+    while True:
+        if (lanes & reach) == reach:
+            if ends is None:
+                _twin_walk(k + 1, lanes, left - v, packed, v, deltas, twins)
+            else:
+                c, lanes_of_c, moves_by_values = ends
+                own = packed & lanes_of_c
+                moves = moves_by_values.get(own)
+                if moves is None:
+                    moves = moves_by_values[own] = _moves(c, own)
+                moved = deltas + tuple(a + b for b in moves for a in deltas)
+                if k + 1 < len(heads):
+                    # the next class's first column: bounded by the degree only
+                    _twin_walk(k + 1, lanes, left - v, packed, left - v, moved, twins)
+                elif len(moved) == 1:
+                    _lane_walk(0, lanes, left - v, packed, walk)
+                else:
+                    current[0] = moved
+                    _lane_walk(0, lanes, left - v, packed, imaged)
+        if v == cap:
+            return
+        v += 1
+        lanes += step
+        packed += unit
+        if (lanes & keep) != keep:
+            return
+
+
+def _moves(c: tuple, own: int) -> tuple:
+    # the packed differences that carry `own`, a prefix's lanes of class c,
+    # to its other images under the class's permutations, one per distinct
+    # image, so the cost is the orbit's size, not the size of the class's
+    # symmetric group. The value held by the most lanes is placed last
+    counts = sorted(Counter(own >> 8 * i & 255 for i in c).items(), key=lambda vk: vk[1])
+    return tuple(image - own for image in _placements([1 << 8 * i for i in c], counts, 0)
+                 if image != own)
+
+
+def _placements(units: list, counts: list, base: int) -> list:
+    # base plus every packing of counts' (value, count) pairs onto the lanes
+    # of `units`: each choice of lanes for the first value, then the rest
+    # on the lanes left; the last two values are one comprehension
+    (a, k), *rest = counts
+    if not rest:
+        return [base + a * sum(units)]
+    if len(rest) == 1:
+        b = rest[0][0]
+        base += b * sum(units)
+        return [base + (a - b) * sum(chosen) for chosen in itertools.combinations(units, k)]
+    return [image for chosen in itertools.combinations(units, k)
+            for image in _placements([u for u in units if u not in chosen], rest,
+                                     base + a * sum(chosen))]
+
+
+def _image_sink(sink, current: list):
+    # hands `sink` every image of a leaf: the leaf plus each of current[0],
+    # the deltas of the prefix whose suffix is being walked
+    def strike(n: int) -> None:
+        for delta in current[0]:
+            sink(n + delta)
+    return strike
 
 
 def _lane_walk(k: int, lanes: int, left: int, packed: int, walk: tuple) -> None:

@@ -2,7 +2,8 @@
 
 Everything here recomputes a quantity by a different route than the
 library: Floyd-Warshall distances, delete-and-count cutpoints, subset
-enumeration for cycles, blocks and fundamental sets, backtracking over
+enumeration for cycles, blocks and fundamental sets, neighbourhood sets
+compared pairwise for twin classes, backtracking over
 independent sets for fundamental sets at larger scale, multiset enumeration
 for semigroup membership and for the truncated semigroup, an unmemoized
 search on labels for its witnesses, LP feasibility and a
@@ -223,6 +224,27 @@ def oracle_is_triangular_cactus(G) -> bool:
         and bool(G.edges)
         and all(len(B) == 3 for B in oracle_blocks(G))
     )
+
+
+def oracle_twin_classes(G) -> tuple:
+    """The true twin classes (equal closed neighbourhoods), then the false
+    twin classes (equal open neighbourhoods), from the edge list: each class
+    the ascending indices of two or more vertices, each kind ordered by
+    least index."""
+    open_ = {v: set() for v in G.vertices}
+    for u, v in G.edges:
+        open_[u].add(v)
+        open_[v].add(u)
+    classes = []
+    for closed in (True, False):
+        def hood(v):
+            return open_[v] | {v} if closed else open_[v]
+
+        for i, v in enumerate(G.vertices):
+            same = tuple(j for j, u in enumerate(G.vertices) if hood(u) == hood(v))
+            if len(same) > 1 and same[0] == i:
+                classes.append(same)
+    return tuple(classes)
 
 
 def oracle_is_bipartite_subset(G, vertices) -> bool:

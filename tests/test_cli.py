@@ -12,6 +12,7 @@ from edgering import (
     acceptance,
     cli,
     format_graph_text,
+    hole_families,
     load_graph,
     s2_verdict,
     semigroup,
@@ -190,6 +191,36 @@ def test_analyze_odd_cycle_set_graph(tmp_path, capsys):
     # the whole report, byte for byte, as CI's plain install checks it too
     golden = ROOT / "tests" / "golden" / "analyze_d13_deg10.json"
     assert report.read_bytes() == golden.read_bytes()
+
+
+def test_analyze_four_hub_triangles_matches_its_golden(tmp_path, capsys):
+    # the `verdict` shape with the most twins: four twin pairs, so method A
+    # strikes up to 16 images of each leaf; CI's installed script checks it too
+    path, report = tmp_path / "n4.graph", tmp_path / "n4.json"
+    assert main(["gen", "--n", "4", "--s", "1,0,1,0,0,0,0,0", "-o", str(path)]) == 0
+    assert main(["analyze", str(path), "--degree", "10", "--max-d", "13",
+                 "--json", str(report)]) == 0
+    capsys.readouterr()
+    golden = ROOT / "tests" / "golden" / "analyze_n4_deg10.json"
+    assert report.read_bytes() == golden.read_bytes()
+
+
+def test_analyze_builds_the_decomposition_report_once(tmp_path, capsys, monkeypatch):
+    # the decomposition line and the verdict read one report at the degree,
+    # so each of d13's 13 families is written once, not once per reader
+    path = tmp_path / "d13.graph"
+    assert main(["gen", "--n", "3", "--s", "1,0,1,0,1,0", "-o", str(path)]) == 0
+    degrees = []
+    as_json = hole_families.HoleFamily.as_json
+
+    def counted(self, G, D=None):
+        degrees.append(D)
+        return as_json(self, G, D)
+
+    monkeypatch.setattr(hole_families.HoleFamily, "as_json", counted)
+    assert main(["analyze", str(path), "--degree", "12", "--max-d", "13"]) == 0
+    assert "verdict: normal=false s2=true" in capsys.readouterr().out
+    assert degrees == [12] * 13
 
 
 def test_analyze_normal_graph(tmp_path, capsys):

@@ -538,19 +538,24 @@ def test_a_verdict_builds_one_report(monkeypatch):
 def test_a_failed_ladder_raises_its_lowest_failing_rung(monkeypatch):
     # without d13's odd-set family (shift degree 10) one hole of degree 10
     # is uncovered, and 13 up to degree 12: the verdict at 12 must raise the
-    # degree-10 report, the one verify_decomposition raises at that rung
-    G = _built("d13")
-    families = hole_decomposition(G)
-    assert len(families[12].cycles) == 3 and sum(families[12].shift) == 10
-    kept = families[:12] + families[13:]
-    monkeypatch.setattr(hole_families, "_families", lambda G: kept)
+    # degree-10 report, the one verify_decomposition raises at that rung.
+    # Reports are cached on the graph, so the rung is built on a fresh copy
+    # that has never seen the verdict
+    G, fresh = _built("d13"), _built("d13")
+    kept = {}
+    for H in (G, fresh):
+        families = hole_decomposition(H)
+        assert len(families[12].cycles) == 3 and sum(families[12].shift) == 10
+        kept[id(H)] = families[:12] + families[13:]
+    monkeypatch.setattr(hole_families, "_families", lambda H: kept[id(H)])
     with pytest.raises(DecompositionMismatchError) as verdict:
         s2_verdict(G, 12)
     report = verdict.value.report
     assert report["degree"] == 10 and report["family_points_not_holes"] == []
     assert report["holes_not_covered"] == [[1, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1]]
     with pytest.raises(DecompositionMismatchError) as rung:
-        verify_decomposition(G, 10)
+        verify_decomposition(fresh, 10)
+    assert rung.value.report is not report
     assert rung.value.report == report
     with pytest.raises(DecompositionMismatchError) as top:
         verify_decomposition(G, 12)

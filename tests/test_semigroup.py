@@ -318,13 +318,32 @@ def test_flow_cone_oracle_agrees_with_the_lp_oracle():
                     == oracles.oracle_cone_contains(G, x)), x
 
 
+# twins for method A's walk: the diamond K4 - e, whose b and c are true twins
+# and a and d false twins; the wheel on a 4-cycle, whose opposite rim
+# vertices are false twins; and a cactus listed so that no two twins are
+# next to each other in vertex order
+DIAMOND = Graph("abcd", [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d")])
+W4 = build_from_edges([("c", f"r{i}") for i in range(4)]
+                      + [(f"r{i}", f"r{(i + 1) % 4}") for i in range(4)])
+SCATTERED = Graph(("x3", "y1_1", "w", "x1", "x4", "x2", "y1_2"),
+                  CactusSpec(2, (1, 0, 0, 0)).build().edges)
+# large classes: K12's twelve true twins, walked as a class of 10, and the
+# book of 10 triangles on the spine uv, whose pages are false twins
+K12 = build_from_edges(list(itertools.combinations(range(12), 2)))
+BOOK = build_from_edges([("u", "v")] + [(a, f"p{i}") for i in range(10) for a in "uv"])
+
 METHOD_A_GRAPHS = {"triangle": build("triangle"), "bowtie": build("bowtie"),
-                   "K5": K5, "W7": W7, "Petersen": PETERSEN}
+                   "K5": K5, "W7": W7, "Petersen": PETERSEN,
+                   "diamond": DIAMOND, "W4": W4, "scattered": SCATTERED,
+                   "K12": K12, "book": BOOK}
 
 
 # every degree from 0 to 9, so the last column is walked at both parities
-# of the degree left to it; degree 8 keeps the graph's bare id
-_METHOD_A_CASES = [(name, D) for name in ("triangle", "bowtie", "K5", "W7") for D in range(10)]
+# of the degree left to it; degree 8 keeps the graph's bare id. The
+# oracle's box grows fast in dimension 12, so K12 and the book stop lower
+_METHOD_A_CASES = [(name, D) for name in ("triangle", "bowtie", "K5", "W7", "diamond",
+                                          "W4", "scattered") for D in range(10)]
+_METHOD_A_CASES += [("K12", D) for D in range(6)] + [("book", D) for D in range(7)]
 _METHOD_A_CASES.append(("Petersen", 8))
 
 
@@ -335,6 +354,80 @@ def test_method_a_reconstructed_from_oracles(name, D):
     found = _enumerate_by_inequalities(G, D)
     assert frozenset(_unpack(n, G.dimension) for n in found) == (
         oracles.oracle_normalization(G, D))
+    # handed to sinks, each point reaches its degree's sink once, whichever
+    # image of its twin orbit it is
+    by_half = [[] for _ in range(D // 2 + 1)]
+    assert _enumerate_by_inequalities(G, D, [b.append for b in by_half]) is None
+    assert sorted(n for b in by_half for n in b) == sorted(found)
+    assert all(sum(_unpack(n, G.dimension)) // 2 == j for j, b in enumerate(by_half) for n in b)
+
+
+def test_twin_classes_match_the_edge_list_oracle(all_fixture_graphs):
+    rng = random.Random(17)
+    graphs = [*all_fixture_graphs.values(), *METHOD_A_GRAPHS.values(),
+              *oracles.random_non_bipartite_graphs(rng, 40)]
+    for G in graphs:
+        assert semigroup._twin_classes(G) == oracles.oracle_twin_classes(G), G.vertices
+    assert semigroup._twin_classes(DIAMOND) == ((1, 2), (0, 3))
+    assert semigroup._twin_classes(W4) == ((1, 3), (2, 4))
+    assert semigroup._twin_classes(SCATTERED) == ((0, 4), (1, 6))
+
+
+def test_method_a_walks_twins_first_and_two_columns_after_them():
+    # the penultimate column closes the last one, so the last classes lose
+    # members until two columns are left over, and a class of one goes
+    for G, classes in [(build("triangle"), ()), (build("bowtie"), ((1, 2),)),
+                       (K5, ((0, 1, 2),)), (DIAMOND, ((1, 2),)), (W4, ((1, 3),)),
+                       (SCATTERED, ((0, 4), (1, 6))), (W7, ()),
+                       (K12, (tuple(range(10)),)), (BOOK, ((0, 1), tuple(range(2, 10))))]:
+        kept, order = semigroup._walk_order(G)
+        assert kept == classes, G.vertices
+        twinned = [i for c in classes for i in c]
+        assert list(order) == twinned + sorted(set(range(G.dimension)) - set(twinned))
+
+
+def test_a_large_twin_class_costs_its_orbits_not_its_permutations():
+    # K12's class of 10 has 10! = 3,628,800 permutations, but a prefix of
+    # values (2, 1, 1, 0, ..., 0) has 360 distinct images and the all-zero
+    # prefix one: the walk builds only the images it strikes
+    c = tuple(range(10))
+    assert len(semigroup._moves(c, _pack([2, 1, 1] + [0] * 9))) == 359
+    assert semigroup._moves(c, 0) == ()
+    tracemalloc.start()
+    try:
+        found = _enumerate_by_inequalities(K12, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 1288
+    assert peak < 2 * 2**20, peak
+
+
+def test_a_wrong_twin_class_is_a_method_mismatch(monkeypatch):
+    # method A trusts its classes, but method B does not read them: swapping
+    # the hub and a spoke is no automorphism, so the images it strikes are
+    # not the normalization's points
+    G = build("t1min")
+    monkeypatch.setattr(semigroup, "_twin_classes",
+                        lambda G: ((G.index("w"), G.index("x2")),))
+    with pytest.raises(MethodMismatchError):
+        holes(G, 8)
+
+
+def test_method_a_walks_fewer_frames_than_points(monkeypatch):
+    # one prefix per twin orbit: every image of a leaf is struck, so a
+    # frame of the walk stands for several points. Walking every prefix
+    # made 135,278 frames for cact4a's 63,925 points at degree 10
+    frames = []
+    for name in ("_lane_walk", "_twin_walk"):
+        def counted(*args, walk=getattr(semigroup, name)):
+            frames.append(args[0])
+            return walk(*args)
+
+        monkeypatch.setattr(semigroup, name, counted)
+    G = build("cact4a")
+    assert semigroup._enumeration(G, 10)[0] == 63925
+    assert 0 < len(frames) < 63925
 
 
 def test_method_a_lattice_is_the_degree_parity(all_fixture_graphs):
