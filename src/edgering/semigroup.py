@@ -8,7 +8,8 @@ endpoint units). The enumerations and the oracle pack each vector into one
 int, a lane per coordinate, and unpack only the results they hand out; the
 enumerations put coordinate i in lane i, the oracle puts its vertices in a
 smallest-last order, so the vertex its search eliminates next has at most
-the graph's degeneracy many neighbours left to pair with. One record per
+the graph's degeneracy many neighbours left to pair with, and keeps the
+residuals a search fails on for that one call only. One record per
 (G, D) keeps |N_D| and the holes; N_D and S_D are temporaries, S_D built
 once, as degree slabs grown by each point's least vertex, and a second
 degree is a second enumeration. N is enumerated two independent ways
@@ -94,21 +95,10 @@ def lattice_member(G: Graph, x: Sequence[int]) -> bool:
 # membership oracle
 # ---------------------------------------------------------------------------
 
-@per_graph
-def _memo(G: Graph) -> dict:
-    # lane width -> {packed residual: the edge number its first witness
-    # takes first, or -1 when it is no member}; subproblems depend only on
-    # the residual, and every residual of a graph is packed in its one
-    # elimination order, so one table per graph and width is sound, and
-    # widths stay apart because one int packs different vectors at
-    # different widths
-    return {}
-
-
 def member(G: Graph, x: Sequence[int]) -> bool:
     """True iff x is a nonnegative integer combination of edge generators.
 
-    Exhaustive backtracking, memoized on the residual: the search eliminates
+    Exhaustive backtracking on the residual: the search eliminates
     the positive vertex that comes first in a smallest-last order of the
     graph (Matula-Beck: each next vertex has least degree among those left,
     ties by index) by pairing it with each positive later neighbour in turn,
@@ -118,14 +108,17 @@ def member(G: Graph, x: Sequence[int]) -> bool:
     parity or cone shortcuts. The residual is one int with a lane per
     vertex, in that order, as wide as the smallest multiple of 8 bits that
     holds max(x), so a step is one subtraction; the search keeps its own
-    stack, so it answers at any degree.
+    stack, so it answers at any degree. It keeps the residuals it has failed
+    on for this call only, so nothing it visits outlives the call.
     """
     return _witness(G, x) is not None
 
 
 def decompose(G: Graph, x: Sequence[int]):
-    """Witness multiset of edges summing to x, or None. Edges are returned
-    sorted in canonical edge order."""
+    """Witness multiset of edges summing to x, or None: the first witness
+    `member`'s search finds, which depends only on x, as the search keeps
+    its failures for this call only. Edges are returned sorted in canonical
+    edge order."""
     witness = _witness(G, x)
     if witness is None:
         return None
@@ -141,16 +134,8 @@ def _witness(G: Graph, x: Sequence[int]):
         return None
     width = 8 * ((max(x).bit_length() + 7) // 8 or 1)
     order = _elimination_order(G)
-    gens, steps = _packed_generators(G, width, order)
-    memo = _memo(G).setdefault(width, {})
-    r = _pack([x[i] for i in order], width)
-    if not _decompose(steps, width, r, memo):
-        return None
-    witness = []
-    while r:
-        witness.append(memo[r])
-        r -= gens[witness[-1]]
-    return witness
+    return _decompose(_packed_generators(G, width, order), width,
+                      _pack([x[i] for i in order], width))
 
 
 @per_graph
@@ -167,35 +152,31 @@ def _elimination_order(G: Graph) -> tuple:
 
 @per_graph
 def _packed_generators(G: Graph, width: int, order: tuple) -> tuple:
-    # the generators packed in `width`-bit lanes, vertex order[p] in lane p,
-    # by edge number, and the search's steps: entry p lists (edge number,
-    # generator, lane mask of q) for the edges between lane p and a later
-    # lane q, in edge order, so neighbours by ascending index
+    # the search's steps, in `width`-bit lanes with vertex order[p] in lane
+    # p: entry p lists (edge number, generator, lane mask of q) for the edges
+    # between lane p and a later lane q, in edge order, so neighbours by
+    # ascending index
     lane = (1 << width) - 1
     at = {i: p for p, i in enumerate(order)}
-    gens, steps = [], [[] for _ in order]
+    steps = [[] for _ in order]
     for k, (u, v) in enumerate(G.edges):
         p, q = sorted((at[G.index(u)], at[G.index(v)]))
-        gens.append(1 << width * p | 1 << width * q)
-        steps[p].append((k, gens[k], lane << width * q))
-    return tuple(gens), tuple(map(tuple, steps))
+        steps[p].append((k, 1 << width * p | 1 << width * q, lane << width * q))
+    return tuple(map(tuple, steps))
 
 
-def _decompose(steps: Sequence[tuple], width: int, r: int, memo: dict) -> bool:
-    # True iff the packed residual r is a sum of generators. The search pairs
-    # the positive vertex of least lane p with each neighbour in a later lane
-    # that is positive, in edge order, and the first success wins. Its stack
-    # holds [residual, its options left, the edge it is trying]; a success
-    # settles every residual on it to its pending edge, a failure settles the
-    # top one to -1 and its parent moves on to its next option
-    stack = []
-    while True:
-        if r and r not in memo:
-            stack.append([r, iter(steps[((r & -r).bit_length() - 1) // width]), -1])
-        elif not r or memo[r] >= 0:
-            for residual, _, k in stack:
-                memo[residual] = k
-            return True
+def _decompose(steps: Sequence[tuple], width: int, r: int):
+    # the edge numbers of the packed residual r's first witness, or None. The
+    # search pairs the positive vertex of least lane p with each neighbour in
+    # a later lane that is positive, in edge order, and the first success
+    # wins. Its stack holds [residual, its options left, the edge it is
+    # trying], so at success the pending edges are the witness; a residual
+    # that fails is kept, for this call only, so that no other path of the
+    # search tries it again
+    failed, stack = set(), []
+    while r:
+        if r not in failed:
+            stack.append([r, iter(steps[((r & -r).bit_length() - 1) // width]), None])
         while stack:
             frame = stack[-1]
             for k, g, lane in frame[1]:
@@ -203,11 +184,12 @@ def _decompose(steps: Sequence[tuple], width: int, r: int, memo: dict) -> bool:
                     frame[2], r = k, frame[0] - g
                     break
             else:
-                memo[stack.pop()[0]] = -1
+                failed.add(stack.pop()[0])
                 continue
             break
         else:
-            return False
+            return None
+    return [k for _, _, k in stack]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +288,7 @@ def _semigroup_slabs(G: Graph, D: int) -> tuple:
     # slab j + 1's points of least positive coordinate i are the edges (i, k),
     # k > i, added to slab j's points with no positive coordinate below i
     # (drop the edge that covers i); tiers[i] holds slab j's points of least i
-    steps = _packed_generators(G, 8, tuple(range(G.dimension)))[1]
+    steps = _packed_generators(G, 8, tuple(range(G.dimension)))
     gens = [[g for _, g, _ in step] for step in steps]
     slabs, tiers, pool = [{0}], [()] * G.dimension, [0]
     for _ in range(D // 2):

@@ -448,10 +448,12 @@ def test_hole_decomposition_built_once(t1min):
     assert hole_decomposition(t1min) is families
 
 
-def test_verdict_leaves_the_member_memo_empty():
-    G = load("t1min")
-    assert s2_verdict(G, 8)["s2"] is True
-    assert semigroup._memo(G) == {}
+def test_verdict_runs_no_membership_search(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the verdict ran the membership search")
+
+    monkeypatch.setattr(semigroup, "_decompose", fail)
+    assert s2_verdict(load("t1min"), 8)["s2"] is True
 
 
 def test_no_enumeration_intermediate_outlives_a_verdict():

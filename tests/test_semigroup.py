@@ -95,7 +95,7 @@ def test_member_matches_multiset_oracle_on_random_vectors(bowtie, t1min):
 
 def test_decompose_returns_the_first_witness_of_the_search(triangle, bowtie, t1min,
                                                            t2min, cact4b):
-    # the memoized packed walk finds the same witness as the plain search on
+    # the packed walk finds the same witness as the plain search on
     # labels: the positive vertex first in the smallest-last order first,
     # its neighbours in index order; every semigroup point of degree <= 8 adds witnesses to check, the
     # triangle's vectors sit at the 8-bit lane width's edge, and cact4b
@@ -131,8 +131,9 @@ def test_member_answers_at_any_degree(triangle):
 def test_member_memo_is_kept_apart_per_lane_width():
     # the search packs d (one neighbour) in lane 0 and a (first of three
     # tied at two) in lane 1, so at 8-bit lanes (1, 0, 0, 1) packs to
-    # 1 | 1 << 8, and so does (0, 0, 0, 257) at 16-bit lanes; a shared memo
-    # would answer the second from the first's entry
+    # 1 | 1 << 8, and so does (0, 0, 0, 257) at 16-bit lanes; each call
+    # packs its residuals and steps at its own width, so the second answer
+    # must not be the first's
     G = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("a", "d")])
     assert semigroup._elimination_order(G)[:2] == (3, 0)
     assert decompose(G, (1, 0, 0, 1)) == (("a", "d"),)
@@ -167,23 +168,39 @@ def test_member_eliminates_vertices_smallest_last(all_fixture_graphs):
             assert later <= 2, name
 
 
-def test_member_memo_stays_small_on_family_holes():
+def test_member_searches_family_holes_in_bounded_memory():
     # 60 of cact4b's family holes, each pushed along its face to degree 30
-    # by random face edges, and each plus one edge off its face: a count of
-    # memo entries, not a timing. The smallest-last search fills 4,698; the
-    # least-index search, which branches on the hub's 8 edges, filled 52,414
+    # by random face edges, and each plus one edge off its face. After one
+    # query has built the search's tables, the rest add no cache entry and
+    # leave nothing held: a search keeps its failures for one call. The
+    # smallest-last search peaks near 40 KB; the least-index search, which
+    # branches on the hub's 8 edges, near 870 KB, and a memo kept on the
+    # graph held 370 KB after these queries
     G = CactusSpec(4, (1, 0) * 4).build()
     rng = random.Random(7)
     gens = semigroup.generators(G)
+    queries = []
     for hf in hole_decomposition(G)[:60]:
         face = [e for e in gens if hf.facet.value(e) == 0]
         off = next(e for e in gens if hf.facet.value(e) > 0)
         x = hf.shift
         while sum(x) < 30:
             x = tuple(map(operator.add, x, rng.choice(face)))
-        assert member(G, x) is False, x
-        member(G, tuple(map(operator.add, x, off)))
-    assert sum(map(len, semigroup._memo(G).values())) < 10_000
+        queries += [x, tuple(map(operator.add, x, off))]
+    assert member(G, queries[0]) is False
+    keys = set(G._cache)
+    tracemalloc.start()
+    try:
+        for x in queries[2::2]:
+            assert member(G, x) is False, x
+        for x in queries[1::2]:
+            member(G, x)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(G._cache) == keys
+    assert held < 2**16
+    assert peak < 2**18
 
 
 def test_member_stays_definitional_on_holes(t1min):
