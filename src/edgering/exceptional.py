@@ -3,7 +3,8 @@ case generators and the reports that check each case against the membership
 oracle. The closed forms are proved only for triangular cacti of diameter 4:
 `require_diameter4_cactus` gates them, and they refuse other inputs rather
 than extrapolate. The pairs and the odd cycle condition live in `graph_core`;
-a pair is a 2-tuple of minimal odd cycles.
+a pair is a 2-tuple of minimal odd cycles, checked and tested on the vertex
+masks of its cycle table. Labels appear only in the reports.
 """
 
 from __future__ import annotations
@@ -16,18 +17,17 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .graph_core import (
+    Cycle,
     Graph,
     _add,
+    _cycle_table,
     cycles_json,
-    cycles_vertex_set,
     diameter,
     exceptional_pairs,
     hub_vertex,
     indicator,
     is_exceptional,
     is_triangular_cactus,
-    minimal_odd_cycles,
-    neighbors_of_set,
     pair_vector,
     per_graph,
 )
@@ -49,12 +49,17 @@ def require_diameter4_cactus(G: Graph):
     return hub_vertex(G)
 
 
-def _require_pair(G: Graph, P: tuple) -> None:
-    odd = minimal_odd_cycles(G)
-    if not (isinstance(P, tuple) and len(P) == 2 and all(c in odd for c in P)):
+def _pair_reach(G: Graph, P: tuple) -> int:
+    """The mask of P's vertices and every vertex adjacent to one of them,
+    once P is checked to be an exceptional pair of minimal odd cycles."""
+    table = _cycle_table(G)
+    if not (isinstance(P, tuple) and len(P) == 2
+            and all(isinstance(c, Cycle) and c in table for c in P)):
         raise PreconditionViolatedError(f"{P!r} is not two minimal odd cycles of G")
-    if not is_exceptional(G, *P):
+    (on_a, reach_a), (on_b, reach_b) = table[P[0]], table[P[1]]
+    if reach_a & on_b:
         raise PreconditionViolatedError("the given pair is not exceptional")
+    return reach_a | reach_b
 
 
 def lemma_pair_sum(G: Graph, P1: tuple, P2: tuple) -> bool:
@@ -65,8 +70,8 @@ def lemma_pair_sum(G: Graph, P1: tuple, P2: tuple) -> bool:
     Only the two cross matchings are candidates.
     """
     require_diameter4_cactus(G)
-    _require_pair(G, P1)
-    _require_pair(G, P2)
+    _pair_reach(G, P1)
+    _pair_reach(G, P2)
     a, b = P1
     c, d = P2
     for left, right in (((a, c), (b, d)), ((a, d), (b, c))):
@@ -84,12 +89,11 @@ def lemma_edge_augment(G: Graph, P: tuple, edge) -> bool:
     the semigroup: true iff one endpoint is the hub and the other is in the
     pair's vertex set or its neighborhood."""
     w = require_diameter4_cactus(G)
-    _require_pair(G, P)
+    reach = _pair_reach(G, P)
     u, v = edge
     if not G.has_edge(u, v):
         raise NotAnEdgeError(f"{{{u!r}, {v!r}}} is not an edge")
-    reach = _closed_reach(G, P)
-    return (u == w and v in reach) or (v == w and u in reach)
+    return any(a == w and reach >> G.index(b) & 1 for a, b in ((u, v), (v, u)))
 
 
 def lemma_edge_augment_vector(G: Graph, P: tuple, edge) -> tuple:
@@ -101,12 +105,11 @@ def lemma_double_w_edge(G: Graph, P: tuple, u, v) -> bool:
     semigroup, for hub neighbors u, v outside the pair's closed reach:
     true iff {u, v} is an edge."""
     w = require_diameter4_cactus(G)
-    _require_pair(G, P)
-    reach = _closed_reach(G, P)
+    reach = _pair_reach(G, P)
     for end in (u, v):
         if not G.has_edge(end, w):
             raise PreconditionViolatedError(f"{end!r} is not adjacent to the hub")
-        if end in reach:
+        if reach >> G.index(end) & 1:
             raise PreconditionViolatedError(
                 f"{end!r} lies in the pair's vertex set or neighborhood"
             )
@@ -153,8 +156,8 @@ def double_w_edge_cases(G: Graph):
     w = require_diameter4_cactus(G)
     spokes = sorted(G.neighbors(w), key=G.index)
     for P in exceptional_pairs(G):
-        reach = _closed_reach(G, P)
-        ok = [u for u in spokes if u not in reach]
+        reach = _pair_reach(G, P)
+        ok = [u for u in spokes if not reach >> G.index(u) & 1]
         for u, v in itertools.combinations_with_replacement(ok, 2):
             vec = lemma_double_w_edge_vector(G, P, u, v)
             yield _report(
@@ -176,9 +179,3 @@ def _report(G: Graph, lemma: str, inputs: dict, closed_form: bool, vec: tuple) -
         "witness": [list(map(str, e)) for e in witness] if witness else None,
         "agree": closed_form == oracle,
     }
-
-
-def _closed_reach(G: Graph, P: tuple) -> frozenset:
-    """The pair's vertices and every vertex adjacent to one of them."""
-    on = cycles_vertex_set(P)
-    return on | neighbors_of_set(G, on)

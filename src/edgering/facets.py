@@ -8,11 +8,11 @@ against its neighborhood). Membership, facet generators, and facet rank all
 reduce to integer evaluations against this list.
 
 The list is kept on vertex bitmasks (vertex i in bit i) from the walk that
-finds the fundamental sets to the lane columns of `cone_contains`: a
-hyperplane is the masks of its +1 and -1 coefficients, and a fundamental set
-T is its hyperplane, with N(T) as +1 mask and T as -1 mask. Coefficient
-tuples are built from the masks on first use. A face is the lattice its
-edge generators span, whose rank is the face's dimension.
+finds the fundamental sets, sorted by an integer key, to the lane columns of
+`cone_contains`: a hyperplane is the masks of its +1 and -1 coefficients, a
+fundamental set T its hyperplane, +1 on N(T) and -1 on T. Coefficients are
+built on first use, labels only in `as_json`. A face is the lattice its edge
+generators span, whose rank is the face's dimension.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .graph_core import (
     bits,
     check_vector,
     generators,
+    neighbors_mask,
     odd_everywhere,
     per_graph,
     require_connected,
@@ -116,24 +117,21 @@ def fundamental_sets(G: Graph) -> tuple:
     # of an independent set meet in its contact graph (T and N(T) with the
     # edges of G between them) iff they have a common neighbor, so T is
     # contact-connected iff it is connected under `contact`
-    contact = []
-    for i, a in enumerate(adj):
-        reach = 0
-        for j in bits(a):
-            reach |= adj[j]
-        contact.append(reach & ~(a | 1 << i))
+    contact = [neighbors_mask(adj, a) & ~(a | 1 << i) for i, a in enumerate(adj)]
     odd = odd_everywhere(adj, full)
     found: list = []
     for v in range(G.dimension):
         _grow(adj, contact, 0, 0, (2 << v) - 1, ((full, odd),), not odd, 1 << v,
               found)
-    found.sort(key=lambda TN: _order(TN[0]))
-    return tuple(Hyperplane(N, T, G.dimension, "fundamental") for T, N in found)
-
-
-def _order(mask: int) -> tuple:
-    """(size, vertex indices ascending): the facet list's order."""
-    return mask.bit_count(), tuple(bits(mask))
+    # (size, vertex indices ascending) as one int: of two sets of one size, the
+    # one with the least index outside the other has the larger reversed mask
+    d, digits = G.dimension, f"0{G.dimension}b"
+    found.sort(key=lambda TN: (TN[0].bit_count() << d) - int(format(TN[0], digits)[::-1], 2))
+    # each Hyperplane(N, T, d, "fundamental"), its fields set at once: half __init__'s cost
+    hyps = [object.__new__(Hyperplane) for _ in found]
+    for h, (T, N) in zip(hyps, found):
+        vars(h).update(plus=N, minus=T, dimension=d, kind="fundamental", vertex=None)
+    return tuple(hyps)
 
 
 # fundamental_sets walks vertex sets as bitmasks against the graph's

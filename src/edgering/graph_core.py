@@ -8,15 +8,16 @@ triangles, spoke vertices "x1".."x{2n}", and optional pendant triangles
 "y{i}_{k}" hanging off each spoke.
 
 A Graph keeps one adjacency, `neighbor_masks`: entry i is the bitmask of
-vertex i's neighbours, vertex j in bit j. The label-level accessors
-(`neighbors`, `degree`, `has_edge`, `edge`) answer from it, and traversals
-read vertex sets as bitmasks against it; one breadth-first sweep, `_sweep`,
-serves components, connectivity, eccentricities and the odd-cycle test.
+vertex i's neighbours, vertex j in bit j. Inside the library a vertex set
+is such a mask: traversals, N(T) (`neighbors_mask`) and one breadth-first
+sweep, `_sweep`, for components, connectivity, eccentricities and the
+odd-cycle test. Labels appear only where a public function returns them.
 
 The odd cycle condition decides normality: the edge ring is normal iff no
 exceptional pair exists, two vertex-disjoint chordless odd cycles with no
 edge between them, whose vector is in the normalization, not the semigroup.
-A set of such cycles, a pair among them, is a plain tuple of `Cycle`s.
+A set of such cycles, a pair among them, is a plain tuple of `Cycle`s; a
+pair test ands two masks from the cycles' per-graph table, `_cycle_table`.
 """
 
 from __future__ import annotations
@@ -51,17 +52,17 @@ def per_graph(fn):
     result is freed with G. Equal graphs built separately share nothing.
     Keyword arguments are bound to fn's parameters first, so f(G, D=8) and
     f(G, 8) share one entry."""
-    signature = inspect.signature(fn)
+    signature, missing = inspect.signature(fn), object()
 
     @functools.wraps(fn)
     def cached(G, *args, **kwargs):
         if kwargs:
             bound = signature.bind(G, *args, **kwargs)
             args, kwargs = bound.args[1:], bound.kwargs
-        key = (fn, *args, *sorted(kwargs.items()))
-        if key not in G._cache:
-            G._cache[key] = fn(G, *args, **kwargs)
-        return G._cache[key]
+        key = (fn, *args, *sorted(kwargs.items())) if kwargs else (fn, *args)
+        if (value := G._cache.get(key, missing)) is missing:
+            value = G._cache[key] = fn(G, *args, **kwargs)
+        return value
 
     return cached
 
@@ -195,8 +196,10 @@ def _pack(x: Sequence[int], width: int = 8) -> int:
 
 def indicator(G: Graph, vertices: Iterable[Vertex]) -> tuple:
     """The 0/1 vector of a vertex set in G's vertex order."""
-    on = {G.index(v) for v in vertices}
-    return tuple(1 if i in on else 0 for i in range(G.dimension))
+    x = [0] * G.dimension
+    for v in vertices:
+        x[G.index(v)] = 1
+    return tuple(x)
 
 
 def unit_vector(G: Graph, v) -> tuple:
@@ -219,12 +222,7 @@ def build_from_edges(edge_list: Iterable, vertices: Iterable[Vertex] = None) -> 
     appearance order over the edges."""
     edge_list = [tuple(e) for e in edge_list]
     if vertices is None:
-        seen = []
-        for u, v in edge_list:
-            for x in (u, v):
-                if x not in seen:
-                    seen.append(x)
-        vertices = seen
+        vertices = dict.fromkeys(x for e in edge_list for x in e)
     return Graph(vertices, edge_list)
 
 
@@ -253,7 +251,6 @@ class Cycle:
 
 
 
-@per_graph
 def minimal_odd_cycles(G: Graph) -> tuple[Cycle, ...]:
     """All chordless odd cycles, each once up to rotation and reflection.
 
@@ -262,6 +259,12 @@ def minimal_odd_cycles(G: Graph) -> tuple[Cycle, ...]:
     For a triangular cactus these are the blocks. Sorted by (length, vertex
     indices) so downstream pair enumeration is deterministic.
     """
+    return tuple(_cycle_table(G))
+
+
+@per_graph
+def _cycle_table(G: Graph) -> dict:
+    # minimal_odd_cycles in order, each to `_closed` of the mask its path grew
     adj, full = G.neighbor_masks, (1 << G.dimension) - 1
     found = []
     for s in range(G.dimension):
@@ -276,9 +279,24 @@ def minimal_odd_cycles(G: Graph) -> tuple[Cycle, ...]:
                 if not adj[s] >> v & 1:
                     stack.append((path + (v,), on | 1 << v))
                 elif len(path) % 2 == 0 and path[1] < v:
-                    found.append(path + (v,))
-    found.sort(key=lambda path: (len(path), path))
-    return tuple(Cycle(tuple(G.vertices[i] for i in path)) for path in found)
+                    found.append((path + (v,), on | 1 << v))
+    found.sort(key=lambda cycle: (len(cycle[0]), cycle[0]))
+    return {Cycle(tuple(G.vertices[i] for i in path)): _closed(G, on) for path, on in found}
+
+
+def _closed(G: Graph, on: int) -> tuple:
+    # (a vertex set's mask, the mask of its closed neighbourhood N[T])
+    return on, on | neighbors_mask(G.neighbor_masks, on)
+
+
+def _cycle_masks(G: Graph, cycle: Cycle) -> tuple:
+    # `_closed` of a cycle's vertices: the table's for a minimal odd cycle
+    return _cycle_table(G).get(cycle) or _closed(G, vertex_mask(G, cycle.vertices))
+
+
+def cycles_mask(G: Graph, cycles: Iterable[Cycle]) -> int:
+    """The vertices of a set of cycles, as a mask."""
+    return functools.reduce(operator.or_, (_cycle_masks(G, c)[0] for c in cycles), 0)
 
 
 def cycles_vertex_set(cycles: Iterable[Cycle]) -> frozenset:
@@ -303,8 +321,7 @@ def pair_vector(G: Graph, pair: tuple) -> tuple:
 
 def is_exceptional(G: Graph, a: Cycle, b: Cycle) -> bool:
     """Vertex-disjoint and no bridge edge from one cycle to the other."""
-    va, vb = a.vertex_set, b.vertex_set
-    return va.isdisjoint(vb) and neighbors_of_set(G, va).isdisjoint(vb)
+    return not _cycle_masks(G, a)[1] & _cycle_masks(G, b)[0]
 
 
 @per_graph
@@ -322,7 +339,7 @@ def is_normal(G: Graph) -> bool:
 
 
 def _add(a: Iterable[int], b: Iterable[int]) -> tuple:
-    return tuple(p + q for p, q in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +372,7 @@ def eccentricities(G: Graph) -> MappingProxyType:
 def components(G: Graph, without: Iterable[Vertex] = ()) -> tuple[frozenset, ...]:
     """Vertex sets of the connected components of G minus `without`,
     ordered by smallest vertex index."""
-    adj, rest = G.neighbor_masks, (1 << G.dimension) - 1
-    for v in without:
-        rest &= ~(1 << G.index(v))
+    adj, rest = G.neighbor_masks, (1 << G.dimension) - 1 & ~vertex_mask(G, without)
     comps = []
     while rest:
         comp = _sweep(adj, rest & -rest, rest)[0]
@@ -443,10 +458,21 @@ def odd_everywhere(adj: Sequence[int], rest: int) -> bool:
 def neighbors_of_set(G: Graph, T: Iterable[Vertex]) -> frozenset:
     """N_G(T): every vertex adjacent to something in T. May meet T itself
     when T is not independent."""
-    out: set = set()
-    for v in T:
-        out |= G.neighbors(v)
-    return frozenset(out)
+    N = neighbors_mask(G.neighbor_masks, vertex_mask(G, T))
+    return frozenset([G.vertices[i] for i in bits(N)])
+
+
+def neighbors_mask(adj: Sequence[int], mask: int) -> int:
+    """N(T) as a mask, for T the vertices of `mask`: their neighbour masks' union."""
+    out = 0
+    for i in bits(mask):
+        out |= adj[i]
+    return out
+
+
+def vertex_mask(G: Graph, vertices: Iterable[Vertex]) -> int:
+    """A vertex set as a mask, vertex i in bit i."""
+    return functools.reduce(operator.or_, (1 << G.index(v) for v in vertices), 0)
 
 
 # ---------------------------------------------------------------------------

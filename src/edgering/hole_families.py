@@ -66,12 +66,11 @@ from .exceptional import require_diameter4_cactus
 from .graph_core import (
     Graph,
     _add,
+    _cycle_table,
     cycles_json,
-    cycles_vertex_set,
+    cycles_mask,
     exceptional_pairs,
     generators,
-    indicator,
-    is_exceptional,
     is_normal,
     per_graph,
 )
@@ -142,7 +141,7 @@ def exceptional_families(G: Graph) -> tuple:
     tuple in canonical order, by size and then in that order, each grown from
     its last cycle's later partners; the two-cycle sets are the pairs."""
     require_diameter4_cactus(G)
-    pairs = exceptional_pairs(G)
+    pairs, table = exceptional_pairs(G), _cycle_table(G)
     later = {}
     for a, b in pairs:
         later.setdefault(a, []).append(b)
@@ -150,7 +149,7 @@ def exceptional_families(G: Graph) -> tuple:
     while sets:
         out += sets
         sets = [s + (c,) for s in sets for c in later.get(s[-1], ())
-                if all(is_exceptional(G, a, c) for a in s[:-1])]
+                if not any(table[a][1] & table[c][0] for a in s[:-1])]
     return tuple(out)
 
 
@@ -162,8 +161,9 @@ def q_vector(G: Graph, cycles: tuple) -> tuple:
     if len(cycles) < 2:
         error = PreconditionViolatedError if cycles else EmptySetError
         raise error("a family needs at least two exceptional cycles")
-    hub = (require_diameter4_cactus(G),) if len(cycles) % 2 else ()
-    return indicator(G, cycles_vertex_set(cycles).union(hub))
+    hub = 1 << G.index(require_diameter4_cactus(G)) if len(cycles) % 2 else 0
+    on = cycles_mask(G, cycles) | hub
+    return tuple(on >> i & 1 for i in range(G.dimension))
 
 
 def admissible_facets(G: Graph, cycles: tuple) -> tuple:
@@ -172,7 +172,7 @@ def admissible_facets(G: Graph, cycles: tuple) -> tuple:
     N[T] clear of the cycles, in `fundamental_sets` order, then the one
     regular hyperplane that passes, the hub facet x_w >= 0 of Type 1."""
     hub = 1 << G.index(require_diameter4_cactus(G))
-    on = sum(1 << G.index(v) for v in cycles_vertex_set(cycles))
+    on = cycles_mask(G, cycles)
     return tuple(sorted((h for h in facets_mod.supporting_hyperplanes(G)
                          if h.plus & hub and not (h.plus | h.minus) & on),
                         key=lambda h: h.kind == "regular"))

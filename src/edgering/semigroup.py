@@ -133,9 +133,8 @@ def _witness(G: Graph, x: Sequence[int]):
     if min(x) < 0:
         return None
     width = 8 * ((max(x).bit_length() + 7) // 8 or 1)
-    order = _elimination_order(G)
-    return _decompose(_packed_generators(G, width, order), width,
-                      _pack([x[i] for i in order], width))
+    return _decompose(_packed_generators(G, width, True), width,
+                      _pack([x[i] for i in _elimination_order(G)], width))
 
 
 @per_graph
@@ -151,12 +150,13 @@ def _elimination_order(G: Graph) -> tuple:
 
 
 @per_graph
-def _packed_generators(G: Graph, width: int, order: tuple) -> tuple:
-    # the search's steps, in `width`-bit lanes with vertex order[p] in lane
-    # p: entry p lists (edge number, generator, lane mask of q) for the edges
-    # between lane p and a later lane q, in edge order, so neighbours by
-    # ascending index
+def _packed_generators(G: Graph, width: int, smallest_last: bool) -> tuple:
+    # the search's steps, `width`-bit lanes with vertex order[p] in lane p
+    # (order smallest-last, or vertex order): entry p lists (edge number,
+    # generator, lane mask of q) for the edges between lane p and a later
+    # lane q, in edge order, so neighbours by ascending index
     lane = (1 << width) - 1
+    order = _elimination_order(G) if smallest_last else range(G.dimension)
     at = {i: p for p, i in enumerate(order)}
     steps = [[] for _ in order]
     for k, (u, v) in enumerate(G.edges):
@@ -288,7 +288,7 @@ def _semigroup_slabs(G: Graph, D: int) -> tuple:
     # slab j + 1's points of least positive coordinate i are the edges (i, k),
     # k > i, added to slab j's points with no positive coordinate below i
     # (drop the edge that covers i); tiers[i] holds slab j's points of least i
-    steps = _packed_generators(G, 8, tuple(range(G.dimension)))
+    steps = _packed_generators(G, 8, False)
     gens = [[g for _, g, _ in step] for step in steps]
     slabs, tiers, pool = [{0}], [()] * G.dimension, [0]
     for _ in range(D // 2):
@@ -385,13 +385,13 @@ def _enumerate_by_inequalities(G: Graph, D: int, sinks=None) -> frozenset | None
                           + [n + h for h in range(n) if top[h] > 1])
         reach = _sign_bits([h for h in range(n) if top[h] == 1])
         table.append((plus[i] - minus[i] - upper, keep, reach, 1 << 8 * i))
-    # the twin classes' columns come first. A class's last column, where
-    # its values are all set, holds the class, the mask of its lanes in a
-    # packed point, and a table from those lanes to the class's moves
+    # the twin classes' columns come first. A class's last column holds the
+    # class, the mask of its lanes in a packed point and a table from those
+    # lanes to its moves, or None for the first, whose lanes never repeat
     ends, k = {}, -1
     for c in classes:
         k += len(c)
-        ends[k] = (c, sum(255 << 8 * i for i in c), {})
+        ends[k] = (c, sum(255 << 8 * i for i in c), {} if ends else None)
     heads = [row + (ends.get(j),) for j, row in enumerate(table[:k + 1])]
     del table[:k + 1]
     # the penultimate column closes the last one in its own loop, so the
@@ -437,11 +437,11 @@ def _twin_walk(k: int, lanes: int, left: int, packed: int, cap: int,
             if ends is None:
                 _twin_walk(k + 1, lanes, left - v, packed, v, deltas, twins)
             else:
-                c, lanes_of_c, moves_by_values = ends
+                c, lanes_of_c, memo = ends
                 own = packed & lanes_of_c
-                moves = moves_by_values.get(own)
+                moves = _moves(c, own) if memo is None else memo.get(own)
                 if moves is None:
-                    moves = moves_by_values[own] = _moves(c, own)
+                    moves = memo[own] = _moves(c, own)
                 moved = deltas + tuple(a + b for b in moves for a in deltas)
                 if k + 1 < len(heads):
                     # the next class's first column: bounded by the degree only

@@ -3,7 +3,8 @@
 Everything here recomputes a quantity by a different route than the
 library: Floyd-Warshall distances, delete-and-count cutpoints, subset
 enumeration for cycles, blocks and fundamental sets, neighbourhood sets
-compared pairwise for twin classes, backtracking over
+compared pairwise for twin classes, label sets against the edge list for
+exceptional pairs and neighbourhoods, backtracking over
 independent sets for fundamental sets at larger scale, multiset enumeration
 for semigroup membership and for the truncated semigroup, an unmemoized
 search on labels for its witnesses, LP feasibility and a
@@ -245,6 +246,19 @@ def oracle_twin_classes(G) -> tuple:
             if len(same) > 1 and same[0] == i:
                 classes.append(same)
     return tuple(classes)
+
+
+def oracle_is_exceptional(G, a, b) -> bool:
+    """Two cycles form an exceptional pair when their label sets are
+    disjoint and no edge of G.edges has one end in each."""
+    A, B = set(a.vertices), set(b.vertices)
+    return not A & B and not any({u, v} & A and {u, v} & B for u, v in G.edges)
+
+
+def oracle_neighbors_of_set(G, T) -> frozenset:
+    """Every vertex that an edge of G.edges joins to a vertex of T."""
+    T = set(T)
+    return frozenset(v for e in G.edges for u, v in (e, e[::-1]) if u in T)
 
 
 def oracle_is_bipartite_subset(G, vertices) -> bool:

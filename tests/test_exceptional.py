@@ -1,6 +1,11 @@
+import itertools
+import random
+
 import pytest
 
+import oracles
 from edgering import (
+    Cycle,
     NotAnEdgeError,
     NotDiameterFourCactusError,
     PreconditionViolatedError,
@@ -26,7 +31,13 @@ from edgering.exceptional import (
     pair_sum_cases,
     require_diameter4_cactus,
 )
-from edgering.graph_core import cycles_json, cycles_vertex_set
+from edgering.graph_core import (
+    _cycle_table,
+    build_from_edges,
+    cycles_json,
+    cycles_vertex_set,
+    neighbors_of_set,
+)
 from edgering.semigroup import decompose
 
 
@@ -58,6 +69,54 @@ def test_is_exceptional_bridge(cac3):
     c2 = cycles[frozenset({"x2", "y2_1", "y2_2"})]
     assert not is_exceptional(cac3, c1, c2)
     assert is_normal(cac3)
+
+
+def test_exceptional_pairs_match_the_label_oracle(all_fixture_graphs):
+    # every ordered pair of minimal odd cycles, each cycle with itself too,
+    # against label sets and the edge list; the library reads masks
+    rng = random.Random(36)
+    graphs = [*all_fixture_graphs.values(), oracles.K5, oracles.W7, oracles.PETERSEN,
+              *oracles.random_non_bipartite_graphs(rng, 40)]
+    exceptional = 0
+    for G in graphs:
+        cycles = minimal_odd_cycles(G)
+        for a, b in itertools.product(cycles, repeat=2):
+            assert is_exceptional(G, a, b) == oracles.oracle_is_exceptional(G, a, b), (
+                G.vertices, a, b)
+        want = [P for P in itertools.combinations(cycles, 2)
+                if oracles.oracle_is_exceptional(G, *P)]
+        assert list(exceptional_pairs(G)) == want, G.vertices
+        exceptional += len(want)
+        for c in cycles:
+            assert neighbors_of_set(G, c.vertices) == oracles.oracle_neighbors_of_set(
+                G, c.vertices)
+    assert exceptional >= 11  # the four non-normal fixtures alone hold 11
+
+
+def test_is_exceptional_on_hand_built_cycles(bowtie, cac3, t1min):
+    # cycles built from labels: the table's own (canonical, minimal odd) and
+    # others, a rotated triangle and a 5-cycle of K5 with its chords, whose
+    # masks are computed from their labels
+    k5_and_triangle = [*itertools.combinations("abcde", 2), ("e", "p"), ("p", "f"),
+                       ("f", "g"), ("g", "h"), ("f", "h")]
+    far, bridged = build_from_edges(k5_and_triangle), build_from_edges(
+        k5_and_triangle + [("e", "f")])
+    pentagon, triangle = Cycle(tuple("abcde")), Cycle(tuple("fgh"))
+    cases = [
+        (bowtie, Cycle(("v1", "v2", "v3")), Cycle(("v1", "v4", "v5")), False),  # share v1
+        (cac3, Cycle(("x1", "y1_1", "y1_2")), Cycle(("x2", "y2_1", "y2_2")), False),  # x1-x2
+        (t1min, Cycle(("x1", "y1_1", "y1_2")), Cycle(("x3", "y3_1", "y3_2")), True),
+        (t1min, Cycle(("y1_2", "y1_1", "x1")), Cycle(("x3", "y3_1", "y3_2")), True),
+        (far, pentagon, triangle, True),
+        (bridged, pentagon, triangle, False),  # the edge e-f
+    ]
+    for G, a, b, want in cases:
+        for x, y in ((a, b), (b, a)):
+            assert is_exceptional(G, x, y) is want, (x, y)
+            assert oracles.oracle_is_exceptional(G, x, y) is want
+    assert Cycle(("x1", "y1_1", "y1_2")) in _cycle_table(t1min)
+    assert Cycle(("y1_2", "y1_1", "x1")) not in _cycle_table(t1min)
+    assert pentagon not in _cycle_table(far)
 
 
 def test_is_exceptional_positive(t1min):
@@ -208,6 +267,23 @@ def test_double_w_edge_preconditions(t1min, t2min):
 
 
 # ------------------------------------------------------------ case sweeps
+
+
+@pytest.mark.parametrize("pendants, counts, members", [
+    ((1, 0, 1, 0, 1, 0, 1, 0), (21, 144, 60), (6, 24, 12)),
+    ((1, 0, 1, 0, 1, 0, 1, 0, 0, 0), (21, 162, 126), (6, 24, 18)),
+    ((1, 0, 1, 0, 1, 0, 1, 0, 1, 0), (55, 300, 210), (10, 40, 30)),
+], ids=["d17", "d19", "d21"])
+def test_lemma_cases_agree_with_the_oracle_at_query_scale(pendants, counts, members):
+    # every case of the three lemmas on the cacti of the point-query
+    # benchmark, run to exhaustion: the closed form agrees with the oracle
+    G = build_triangular_cactus(triangles=len(pendants) // 2, pendants=pendants)
+    for cases, count, positive in zip(
+            (pair_sum_cases, edge_augment_cases, double_w_edge_cases), counts, members):
+        reports = list(cases(G))
+        assert len(reports) == count, cases.__name__
+        assert all(r["agree"] for r in reports), cases.__name__
+        assert sum(r["oracle"] for r in reports) == positive, cases.__name__
 
 
 def test_case_generators_shapes(t1min, t2min):

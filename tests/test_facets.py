@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import operator
@@ -20,6 +21,7 @@ from edgering import (
     regular_vertices,
     supporting_hyperplanes,
 )
+from edgering.facets import Hyperplane
 from edgering.graph_core import bits, rho_vector
 from edgering.semigroup import enumerate_semigroup
 
@@ -179,6 +181,22 @@ def test_fundamental_hyperplanes_are_the_fundamental_sets(small_fixture_graphs):
         assert len(hyps) == r + len(fsets), name
         assert all(fsets[i] is hyps[r + i] for i in range(len(fsets))), name
         assert all(h.kind == "fundamental" for h in fsets), name
+
+
+def test_fundamental_hyperplanes_equal_constructed_ones(cact4b):
+    # fundamental_sets builds its hyperplanes without the dataclass's
+    # __init__: each must be the value Hyperplane(...) gives, immutable
+    d = cact4b.dimension
+    x = tuple(range(d))
+    for h in fundamental_sets(cact4b):
+        built = Hyperplane(h.plus, h.minus, d, "fundamental")
+        assert h == built and hash(h) == hash(built) and repr(h) == repr(built)
+        assert h.coefficients == built.coefficients and h.value(x) == built.value(x)
+        assert h.as_json(cact4b) == built.as_json(cact4b)
+    for field in ("plus", "minus", "dimension", "kind", "vertex"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, field, 0)
+    assert h == built
 
 
 # ------------------------------------------------------- cone membership

@@ -64,6 +64,20 @@ def test_per_graph_keys_keyword_and_positional_calls_alike():
     assert len(G._cache) == 2
 
 
+def test_per_graph_caches_every_result_none_included():
+    # a miss is told from a hit by a marker, not by the cached value
+    calls = []
+
+    @per_graph
+    def nothing(G, k):
+        calls.append(k)
+        return None if k else 0
+
+    G = Graph(("a", "b"), (("a", "b"),))
+    assert [nothing(G, 1), nothing(G, 1), nothing(G, 0), nothing(G, 0)] == [None, None, 0, 0]
+    assert calls == [1, 0]
+
+
 def test_graph_duplicate_vertex_rejected():
     with pytest.raises(DuplicateVertexError):
         Graph(("a", "a"), ())

@@ -420,6 +420,23 @@ def test_a_large_twin_class_costs_its_orbits_not_its_permutations():
     assert peak < 2 * 2**20, peak
 
 
+def test_method_a_keeps_no_moves_for_the_first_twin_class():
+    # the first class's values are the whole prefix, so none repeats at its
+    # end: K12, one class walked, keeps no table of its move sets. Its
+    # points go to counting sinks, so the peak is the walk's own memory
+    found = itertools.count()
+    sinks = [lambda n: next(found)] * 5
+    _enumerate_by_inequalities(K12, 4)  # the per-graph tables, built first
+    tracemalloc.start()
+    try:
+        _enumerate_by_inequalities(K12, 8, sinks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert next(found) == 83942
+    assert peak < 2**20, peak
+
+
 def test_a_wrong_twin_class_is_a_method_mismatch(monkeypatch):
     # method A trusts its classes, but method B does not read them: swapping
     # the hub and a spoke is no automorphism, so the images it strikes are
